@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: docs hygiene, tier-1 build + full test suite, a fast
+# CI entry point: docs hygiene, tier-1 build + full test suite (then a
+# repeated run that surfaces order- and load-dependent flakes), a fast
 # bench smoke (validating the BENCH_*.json artifact path), then the
 # same test suite under ASan+UBSan via the `sanitize` CMake preset and
 # the driver/concurrency suites under ThreadSanitizer via the `tsan`
@@ -28,6 +29,9 @@ cmake --build build -j "$jobs"
 
 echo "==> tier-1: ctest"
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+echo "==> tier-1: flake check (each test up to three times, in parallel)"
+ctest --test-dir build --output-on-failure -j"$jobs" --repeat until-fail:3
 
 echo "==> bench smoke: micro_core (one filter) + figure --smoke runs"
 ./build/bench/micro_core --benchmark_filter=BM_EncodeDecode \

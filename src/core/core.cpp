@@ -109,7 +109,10 @@ NvbitCore::onDriverCall(CUcontext ctx, bool is_exit, CallbackId cbid,
     // inside NVBit APIs the callback invokes (retrieve/disassemble/
     // lift/swap) is attributed to those components, not to the user.
     if (tool_) {
+        // Tenants call in concurrently: the stat reads and the
+        // accumulation are serialised.
         auto nestedNs = [this] {
+            std::lock_guard<std::mutex> lk(jit_mu_);
             return jit_.retrieve_ns + jit_.disassemble_ns +
                    jit_.lift_ns + jit_.codegen_ns + jit_.swap_ns;
         };
@@ -120,7 +123,10 @@ NvbitCore::onDriverCall(CUcontext ctx, bool is_exit, CallbackId cbid,
         uint64_t elapsed = nowNs() - t0;
         uint64_t nested = nestedNs() - nested_before;
         uint64_t net = elapsed > nested ? elapsed - nested : 0;
-        jit_.user_callback_ns += net;
+        {
+            std::lock_guard<std::mutex> lk(jit_mu_);
+            jit_.user_callback_ns += net;
+        }
         obs::MetricsRegistry::instance().add(
             "core.tool_callback_ns", net, obs::Stability::Volatile);
     }
@@ -177,6 +183,9 @@ NvbitCore::onDriverCall(CUcontext ctx, bool is_exit, CallbackId cbid,
 void
 NvbitCore::initForContext(CUcontext ctx)
 {
+    // Two tenants' first cuCtxCreate may arrive together; the loser
+    // waits for the winner's load instead of racing it.
+    std::lock_guard<std::mutex> lk(init_mu_);
     if (init_ctx_)
         return; // HAL and tool functions are loaded once
     init_ctx_ = ctx;

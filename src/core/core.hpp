@@ -9,6 +9,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -219,6 +220,8 @@ class NvbitCore
     bool force_full_save_ = false;
 
     std::unique_ptr<Hal> hal_;
+    /** Guards the one-time initForContext load. */
+    std::mutex init_mu_;
     cudrv::CUcontext init_ctx_ = nullptr;
     cudrv::CUmodule tool_module_ = nullptr;
 
@@ -245,6 +248,8 @@ class NvbitCore
     std::map<std::string, ProbeDecl> probe_decls_;
 
     JitStats jit_;
+    /** Guards jit_ reads and writes on the driver-callback path. */
+    std::mutex jit_mu_;
 };
 
 } // namespace nvbit::core

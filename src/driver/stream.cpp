@@ -317,7 +317,11 @@ StreamService::enqueue(CUstream s, std::shared_ptr<StreamOp> op,
     if (ctx->dying)
         return CUDA_ERROR_INVALID_CONTEXT;
     obs::MetricsRegistry &mr = obs::MetricsRegistry::instance();
-    if (!waited && s->q.size() >= queue_cap_) {
+    // Event markers carry no work and, as in CUDA, never fail for
+    // queue depth; waited ops are their caller's own backpressure.
+    const bool marker = op->kind == StreamOp::Kind::EventRecord ||
+                        op->kind == StreamOp::Kind::WaitEvent;
+    if (!waited && !marker && s->q.size() >= queue_cap_) {
         // Backpressure: bounded queues fail fast instead of growing.
         // The caller is expected to synchronise and retry.
         mr.add(tenantMetric(ctx, "queue_rejects"), 1,

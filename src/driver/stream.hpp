@@ -33,7 +33,9 @@
  * callers are expected to synchronise and retry (retry-after
  * semantics).  Synchronously-waited ops (legacy launches,
  * cuStreamSynchronize markers) are exempt: the calling thread is its
- * own backpressure.
+ * own backpressure.  Event markers (cuEventRecord, cuStreamWaitEvent)
+ * are exempt too: they carry no work, and CUDA never fails them for
+ * queue depth.
  *
  * Fault domains: a device exception poisons only the owning context
  * (sticky error); queued ops of a poisoned context complete
@@ -221,9 +223,10 @@ class StreamService
     // -- Enqueue / wait ---------------------------------------------
 
     /**
-     * Enqueue @p op on @p s.  With @p waited false the call is subject
-     * to the bounded-queue backpressure contract and may return
-     * CUDA_ERROR_LAUNCH_OUT_OF_RESOURCES.  Handle validation (stream
+     * Enqueue @p op on @p s.  With @p waited false a work op (launch,
+     * copy) is subject to the bounded-queue backpressure contract and
+     * may return CUDA_ERROR_LAUNCH_OUT_OF_RESOURCES; event markers
+     * never are.  Handle validation (stream
      * *and* op->event) happens here, under the same lock hold that
      * captures the event generation: validating in the public entry
      * point and dereferencing here would leave a cuEventDestroy window

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
 #include <cstring>
 
 #include "common/logging.hpp"
 #include "mem/shadow_memory.hpp"
 #include "obs/sanitizer.hpp"
+#include "sim/alu.hpp"
 
 namespace nvbit::sim {
 
@@ -17,42 +17,6 @@ using isa::Instruction;
 using isa::Opcode;
 
 namespace {
-
-float
-asF32(uint32_t bits)
-{
-    float f;
-    std::memcpy(&f, &bits, sizeof(f));
-    return f;
-}
-
-uint32_t
-asBits(float f)
-{
-    uint32_t b;
-    std::memcpy(&b, &f, sizeof(b));
-    return b;
-}
-
-/** f32 -> integer conversion with defined saturation semantics. */
-int64_t
-f2iClamp(float f, bool is_signed)
-{
-    if (std::isnan(f))
-        return 0;
-    if (is_signed) {
-        if (f >= 2147483647.0f)
-            return 2147483647;
-        if (f <= -2147483648.0f)
-            return -2147483648ll;
-        return static_cast<int64_t>(f);
-    }
-    if (f >= 4294967295.0f)
-        return 4294967295ll;
-    if (f <= 0.0f)
-        return 0;
-    return static_cast<int64_t>(f);
-}
 
 uint64_t
 atomApply(isa::AtomOp op, DType dt, uint64_t old_v, uint64_t b, uint64_t c)
@@ -104,34 +68,6 @@ atomApply(isa::AtomOp op, DType dt, uint64_t old_v, uint64_t b, uint64_t c)
     return old_v;
 }
 
-bool
-cmpApply(isa::CmpOp c, uint64_t a, uint64_t b)
-{
-    switch (c) {
-      case isa::CmpOp::LT: return a < b;
-      case isa::CmpOp::EQ: return a == b;
-      case isa::CmpOp::LE: return a <= b;
-      case isa::CmpOp::GT: return a > b;
-      case isa::CmpOp::NE: return a != b;
-      case isa::CmpOp::GE: return a >= b;
-    }
-    return false;
-}
-
-bool
-cmpApplySigned(isa::CmpOp c, int64_t a, int64_t b)
-{
-    switch (c) {
-      case isa::CmpOp::LT: return a < b;
-      case isa::CmpOp::EQ: return a == b;
-      case isa::CmpOp::LE: return a <= b;
-      case isa::CmpOp::GT: return a > b;
-      case isa::CmpOp::NE: return a != b;
-      case isa::CmpOp::GE: return a >= b;
-    }
-    return false;
-}
-
 /**
  * Bank-serialised transaction count for one warp shared-memory access.
  * @p words holds every 4-byte word index touched (duplicates allowed —
@@ -153,6 +89,38 @@ sharedBankTransactions(std::vector<uint64_t> &words)
             worst = n;
     }
     return worst;
+}
+
+/** Run table row @p s over the lanes of @p exec_mask. */
+void
+execAlu(const AluShape &s, WarpRegFile &rf, uint32_t exec_mask)
+{
+    uint32_t splat[3][kWarpSize];
+    auto row = [&](const AluSrc &src, unsigned k) -> const uint32_t * {
+        if (!src.is_const)
+            return rf.regs[src.reg];
+        std::fill_n(splat[k], kWarpSize, src.cval);
+        return splat[k];
+    };
+    const uint32_t *A = row(s.a, 0);
+    const uint32_t *B = row(s.b, 1);
+    const uint32_t *C = row(s.c, 2);
+    uint32_t *D = rf.regs[s.d];
+    uint8_t *P = rf.preds;
+    const uint8_t aux = s.aux;
+    switch (s.op) {
+#define NVBIT_ALU_MASKED(name, expr)                                       \
+      case AluOp::name:                                                    \
+        for (uint32_t m = exec_mask; m != 0; m &= m - 1) {                 \
+            const unsigned l = static_cast<unsigned>(std::countr_zero(m)); \
+            NVBIT_ALU_LANE(expr)                                           \
+        }                                                                  \
+        break;
+        NVBIT_ALU_OPS(NVBIT_ALU_MASKED)
+#undef NVBIT_ALU_MASKED
+      case AluOp::NumOps:
+        break;
+    }
 }
 
 } // namespace
@@ -514,12 +482,17 @@ Interpreter::constRead(const Instruction &in, uint64_t pc) const
 
 void
 Interpreter::execute(const Instruction &in, ThreadCtx *warp,
-                     uint32_t active_mask, uint32_t exec_mask,
-                     uint64_t pc, uint64_t next_pc)
+                     WarpRegFile &rf, uint32_t active_mask,
+                     uint32_t exec_mask, uint64_t pc, uint64_t next_pc)
 {
     (void)active_mask;
+    AluShape shape;
+    if (aluShape(in, shape)) {
+        execAlu(shape, rf, exec_mask);
+        return;
+    }
+
     const bool imm_alu = (in.mod & isa::kModImmSrc2) != 0;
-    const DType dt = isa::modGetDType(in.mod);
 
     auto forEachExec = [&](auto &&fn) {
         for (unsigned l = 0; l < kWarpSize; ++l)
@@ -527,13 +500,9 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
                 fn(warp[l], l);
     };
 
-    auto src2 = [&](const ThreadCtx &t) -> uint32_t {
-        return imm_alu ? static_cast<uint32_t>(in.imm)
-                       : readReg(t, in.rb);
-    };
-    auto src2Pair = [&](const ThreadCtx &t) -> uint64_t {
+    auto src2Pair = [&](unsigned l) -> uint64_t {
         return imm_alu ? static_cast<uint64_t>(in.imm)
-                       : readPair(t, in.rb);
+                       : readPair(rf, l, in.rb);
     };
 
     switch (in.op) {
@@ -559,8 +528,8 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
         break;
 
       case Opcode::BRX:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            t.pc = readReg(t, in.ra);
+        forEachExec([&](ThreadCtx &t, unsigned l) {
+            t.pc = readReg(rf, l, in.ra);
         });
         break;
 
@@ -594,279 +563,75 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
         });
         break;
 
+      // 64-bit register-pair forms; the 32-bit forms are table rows.
       case Opcode::MOV:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            if (dt == DType::U64) {
-                // Alu1 form: the register source is ra.
-                writePair(t, in.rd,
-                          imm_alu ? static_cast<uint64_t>(in.imm)
-                                  : readPair(t, in.ra));
-            } else {
-                writeReg(t, in.rd,
-                         imm_alu ? static_cast<uint32_t>(in.imm)
-                                 : readReg(t, in.ra));
-            }
+        forEachExec([&](ThreadCtx &, unsigned l) {
+            // Alu1 form: the register source is ra.
+            writePair(rf, l, in.rd,
+                      imm_alu ? static_cast<uint64_t>(in.imm)
+                              : readPair(rf, l, in.ra));
         });
         break;
-
-      case Opcode::LUI:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, static_cast<uint32_t>(in.imm) << 16);
-        });
-        break;
-
-      case Opcode::SEL:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            bool p = readPred(t, isa::modGetSelPred(in.mod),
-                              isa::modGetSelPredNeg(in.mod));
-            writeReg(t, in.rd, p ? readReg(t, in.ra)
-                                 : readReg(t, in.rb));
-        });
-        break;
-
       case Opcode::SHL:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            if (dt == DType::U64) {
-                writePair(t, in.rd,
-                          readPair(t, in.ra) << (src2(t) & 63));
-            } else {
-                writeReg(t, in.rd, readReg(t, in.ra)
-                                       << (src2(t) & 31));
-            }
+        forEachExec([&](ThreadCtx &, unsigned l) {
+            writePair(rf, l, in.rd,
+                      readPair(rf, l, in.ra) << (src2Pair(l) & 63));
         });
         break;
-
       case Opcode::SHR:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            if (dt == DType::U64) {
-                writePair(t, in.rd,
-                          readPair(t, in.ra) >> (src2(t) & 63));
-            } else if (dt == DType::S32) {
-                writeReg(t, in.rd,
-                         static_cast<uint32_t>(
-                             static_cast<int32_t>(readReg(t, in.ra)) >>
-                             (src2(t) & 31)));
-            } else {
-                writeReg(t, in.rd, readReg(t, in.ra) >> (src2(t) & 31));
-            }
+        forEachExec([&](ThreadCtx &, unsigned l) {
+            writePair(rf, l, in.rd,
+                      readPair(rf, l, in.ra) >> (src2Pair(l) & 63));
         });
         break;
-
-      case Opcode::AND:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, readReg(t, in.ra) & src2(t));
-        });
-        break;
-      case Opcode::OR:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, readReg(t, in.ra) | src2(t));
-        });
-        break;
-      case Opcode::XOR:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, readReg(t, in.ra) ^ src2(t));
-        });
-        break;
-      case Opcode::NOT:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, ~readReg(t, in.ra));
-        });
-        break;
-
       case Opcode::IADD:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            if (dt == DType::U64)
-                writePair(t, in.rd, readPair(t, in.ra) + src2Pair(t));
-            else
-                writeReg(t, in.rd, readReg(t, in.ra) + src2(t));
+        forEachExec([&](ThreadCtx &, unsigned l) {
+            writePair(rf, l, in.rd, readPair(rf, l, in.ra) + src2Pair(l));
         });
         break;
       case Opcode::ISUB:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            if (dt == DType::U64)
-                writePair(t, in.rd, readPair(t, in.ra) - src2Pair(t));
-            else
-                writeReg(t, in.rd, readReg(t, in.ra) - src2(t));
+        forEachExec([&](ThreadCtx &, unsigned l) {
+            writePair(rf, l, in.rd, readPair(rf, l, in.ra) - src2Pair(l));
         });
         break;
       case Opcode::IMUL:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            if (dt == DType::U64) {
-                writePair(t, in.rd, readPair(t, in.ra) * src2Pair(t));
-            } else {
-                writeReg(t, in.rd, readReg(t, in.ra) * src2(t));
-            }
+        forEachExec([&](ThreadCtx &, unsigned l) {
+            writePair(rf, l, in.rd, readPair(rf, l, in.ra) * src2Pair(l));
         });
         break;
       case Opcode::IMAD:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            if (dt == DType::U64) {
-                // Wide form: pair = u32 * u32 + pair.
-                uint64_t prod =
-                    static_cast<uint64_t>(readReg(t, in.ra)) *
-                    static_cast<uint64_t>(readReg(t, in.rb));
-                writePair(t, in.rd, prod + readPair(t, in.rc));
-            } else {
-                writeReg(t, in.rd,
-                         readReg(t, in.ra) * readReg(t, in.rb) +
-                             readReg(t, in.rc));
-            }
+        forEachExec([&](ThreadCtx &, unsigned l) {
+            // Wide form: pair = u32 * u32 + pair.
+            uint64_t prod = static_cast<uint64_t>(readReg(rf, l, in.ra)) *
+                            static_cast<uint64_t>(readReg(rf, l, in.rb));
+            writePair(rf, l, in.rd, prod + readPair(rf, l, in.rc));
         });
         break;
-      case Opcode::IMNMX:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            bool want_max = (in.mod & isa::kModMnmxMax) != 0;
-            uint32_t a = readReg(t, in.ra), b = src2(t);
-            uint32_t r;
-            if (dt == DType::S32) {
-                int32_t sa = static_cast<int32_t>(a);
-                int32_t sb = static_cast<int32_t>(b);
-                r = static_cast<uint32_t>(want_max ? std::max(sa, sb)
-                                                   : std::min(sa, sb));
-            } else {
-                r = want_max ? std::max(a, b) : std::min(a, b);
-            }
-            writeReg(t, in.rd, r);
-        });
-        break;
-      case Opcode::POPC:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd,
-                     static_cast<uint32_t>(
-                         std::popcount(readReg(t, in.ra))));
-        });
-        break;
-
-      case Opcode::FADD:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, asBits(asF32(readReg(t, in.ra)) +
-                                      asF32(src2(t))));
-        });
-        break;
-      case Opcode::FMUL:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, asBits(asF32(readReg(t, in.ra)) *
-                                      asF32(src2(t))));
-        });
-        break;
-      case Opcode::FFMA:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd,
-                     asBits(std::fma(asF32(readReg(t, in.ra)),
-                                     asF32(readReg(t, in.rb)),
-                                     asF32(readReg(t, in.rc)))));
-        });
-        break;
-      case Opcode::FMNMX:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            float a = asF32(readReg(t, in.ra));
-            float b = asF32(src2(t));
-            bool want_max = (in.mod & isa::kModMnmxMax) != 0;
-            writeReg(t, in.rd,
-                     asBits(want_max ? std::fmax(a, b)
-                                     : std::fmin(a, b)));
-        });
-        break;
-      case Opcode::MUFU:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            float a = asF32(readReg(t, in.ra));
-            float r = 0.0f;
-            switch (isa::modGetMufu(in.mod)) {
-              case isa::MufuOp::RCP: r = 1.0f / a; break;
-              case isa::MufuOp::SQRT: r = std::sqrt(a); break;
-              case isa::MufuOp::RSQ: r = 1.0f / std::sqrt(a); break;
-              case isa::MufuOp::EX2: r = std::exp2(a); break;
-              case isa::MufuOp::LG2: r = std::log2(a); break;
-              case isa::MufuOp::SIN: r = std::sin(a); break;
-              case isa::MufuOp::COS: r = std::cos(a); break;
-            }
-            writeReg(t, in.rd, asBits(r));
-        });
-        break;
-      case Opcode::I2F:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            uint32_t a = readReg(t, in.ra);
-            float r = (dt == DType::S32)
-                          ? static_cast<float>(static_cast<int32_t>(a))
-                          : static_cast<float>(a);
-            writeReg(t, in.rd, asBits(r));
-        });
-        break;
-      case Opcode::F2I:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            float a = asF32(readReg(t, in.ra));
-            writeReg(t, in.rd,
-                     static_cast<uint32_t>(
-                         f2iClamp(a, dt == DType::S32)));
-        });
-        break;
-
+      // ISETP.U64, and ISETP.S32 with an immediate outside int32.
       case Opcode::ISETP: {
         const bool imm_setp = (in.mod & isa::kModSetpImm) != 0;
-        const DType sdt = isa::modGetSetpDType(in.mod);
-        forEachExec([&](ThreadCtx &t, unsigned) {
+        const isa::CmpOp cmp = isa::modGetCmp(in.mod);
+        forEachExec([&](ThreadCtx &, unsigned l) {
             bool r;
-            if (sdt == DType::U64) {
-                uint64_t a = readPair(t, in.ra);
-                uint64_t b = imm_setp
-                                 ? static_cast<uint64_t>(in.imm)
-                                 : readPair(t, in.rb);
-                r = cmpApply(isa::modGetCmp(in.mod), a, b);
-            } else if (sdt == DType::S32) {
-                int64_t a = static_cast<int32_t>(readReg(t, in.ra));
-                int64_t b = imm_setp
-                                ? in.imm
-                                : static_cast<int32_t>(
-                                      readReg(t, in.rb));
-                r = cmpApplySigned(isa::modGetCmp(in.mod), a, b);
+            if (isa::modGetSetpDType(in.mod) == DType::U64) {
+                r = cmpApply(cmp, readPair(rf, l, in.ra),
+                             imm_setp ? static_cast<uint64_t>(in.imm)
+                                      : readPair(rf, l, in.rb));
             } else {
-                uint64_t a = readReg(t, in.ra);
-                uint64_t b = imm_setp
-                                 ? static_cast<uint32_t>(in.imm)
-                                 : readReg(t, in.rb);
-                r = cmpApply(isa::modGetCmp(in.mod), a, b);
+                r = cmpApply<int64_t>(cmp, s32(readReg(rf, l, in.ra)),
+                                      in.imm);
             }
-            writePred(t, in.rd & 0x7, r);
+            writePred(rf, l, in.rd & 0x7, r);
         });
         break;
       }
-      case Opcode::FSETP: {
-        const bool imm_setp = (in.mod & isa::kModSetpImm) != 0;
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            float a = asF32(readReg(t, in.ra));
-            float b = imm_setp
-                          ? static_cast<float>(in.imm)
-                          : asF32(readReg(t, in.rb));
-            bool r = false;
-            switch (isa::modGetCmp(in.mod)) {
-              case isa::CmpOp::LT: r = a < b; break;
-              case isa::CmpOp::EQ: r = a == b; break;
-              case isa::CmpOp::LE: r = a <= b; break;
-              case isa::CmpOp::GT: r = a > b; break;
-              case isa::CmpOp::NE: r = a != b; break;
-              case isa::CmpOp::GE: r = a >= b; break;
-            }
-            writePred(t, in.rd & 0x7, r);
-        });
-        break;
-      }
-      case Opcode::P2R:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, t.preds);
-        });
-        break;
-      case Opcode::R2P:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            t.preds = static_cast<uint8_t>(readReg(t, in.ra) & 0x7F);
-        });
-        break;
 
       case Opcode::LDG: {
         GlobalAccess ga;
         ga.kind = GlobalAccess::Kind::Load;
         unsigned bytes = in.memAccessBytes();
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            uint64_t addr = readPair(t, in.ra) +
+        forEachExec([&](ThreadCtx &t, unsigned l) {
+            uint64_t addr = readPair(rf, l, in.ra) +
                             static_cast<uint64_t>(in.imm);
             ga.sectors.insert(
                 addr & ~static_cast<uint64_t>(sector_bytes_ - 1));
@@ -876,9 +641,9 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
                 sancheckGlobal(t, addr, bytes, pc, true, false);
             uint64_t v = loadGlobal(addr, bytes, pc);
             if (bytes == 8)
-                writePair(t, in.rd, v);
+                writePair(rf, l, in.rd, v);
             else
-                writeReg(t, in.rd, static_cast<uint32_t>(v));
+                writeReg(rf, l, in.rd, static_cast<uint32_t>(v));
         });
         mm_.accountGlobalAccess(ga);
         break;
@@ -887,15 +652,15 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
         GlobalAccess ga;
         ga.kind = GlobalAccess::Kind::Store;
         unsigned bytes = in.memAccessBytes();
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            uint64_t addr = readPair(t, in.ra) +
+        forEachExec([&](ThreadCtx &t, unsigned l) {
+            uint64_t addr = readPair(rf, l, in.ra) +
                             static_cast<uint64_t>(in.imm);
             ga.sectors.insert(
                 addr & ~static_cast<uint64_t>(sector_bytes_ - 1));
             ++ga.lanes;
             ga.bytes += bytes;
-            uint64_t v = bytes == 8 ? readPair(t, in.rb)
-                                    : readReg(t, in.rb);
+            uint64_t v = bytes == 8 ? readPair(rf, l, in.rb)
+                                    : readReg(rf, l, in.rb);
             if (sancheck_ != 0)
                 sancheckGlobal(t, addr, bytes, pc, false, true);
             storeGlobal(addr, bytes, v, pc);
@@ -905,25 +670,25 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
       }
       case Opcode::LDL: {
         unsigned bytes = in.memAccessBytes();
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            uint64_t addr = readReg(t, in.ra) +
+        forEachExec([&](ThreadCtx &t, unsigned l) {
+            uint64_t addr = readReg(rf, l, in.ra) +
                             static_cast<uint64_t>(in.imm);
             uint64_t v = 0;
             std::memcpy(&v, localPtr(t, addr, bytes, pc, false), bytes);
             if (bytes == 8)
-                writePair(t, in.rd, v);
+                writePair(rf, l, in.rd, v);
             else
-                writeReg(t, in.rd, static_cast<uint32_t>(v));
+                writeReg(rf, l, in.rd, static_cast<uint32_t>(v));
         });
         break;
       }
       case Opcode::STL: {
         unsigned bytes = in.memAccessBytes();
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            uint64_t addr = readReg(t, in.ra) +
+        forEachExec([&](ThreadCtx &t, unsigned l) {
+            uint64_t addr = readReg(rf, l, in.ra) +
                             static_cast<uint64_t>(in.imm);
-            uint64_t v = bytes == 8 ? readPair(t, in.rb)
-                                    : readReg(t, in.rb);
+            uint64_t v = bytes == 8 ? readPair(rf, l, in.rb)
+                                    : readReg(rf, l, in.rb);
             std::memcpy(localPtr(t, addr, bytes, pc, true), &v, bytes);
         });
         break;
@@ -933,8 +698,8 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
         SharedAccess sa;
         sa.write = false;
         std::vector<uint64_t> words;
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            uint64_t addr = readReg(t, in.ra) +
+        forEachExec([&](ThreadCtx &t, unsigned l) {
+            uint64_t addr = readReg(rf, l, in.ra) +
                             static_cast<uint64_t>(in.imm);
             ++sa.lanes;
             words.push_back(addr >> 2);
@@ -945,9 +710,9 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
             uint64_t v = 0;
             std::memcpy(&v, sharedPtr(addr, bytes, pc, false), bytes);
             if (bytes == 8)
-                writePair(t, in.rd, v);
+                writePair(rf, l, in.rd, v);
             else
-                writeReg(t, in.rd, static_cast<uint32_t>(v));
+                writeReg(rf, l, in.rd, static_cast<uint32_t>(v));
         });
         sa.transactions = sharedBankTransactions(words);
         if (sa.lanes != 0)
@@ -959,8 +724,8 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
         SharedAccess sa;
         sa.write = true;
         std::vector<uint64_t> words;
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            uint64_t addr = readReg(t, in.ra) +
+        forEachExec([&](ThreadCtx &t, unsigned l) {
+            uint64_t addr = readReg(rf, l, in.ra) +
                             static_cast<uint64_t>(in.imm);
             ++sa.lanes;
             words.push_back(addr >> 2);
@@ -968,8 +733,8 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
                 words.push_back((addr >> 2) + 1);
             if (sancheck_ != 0)
                 sancheckShared(t, addr, bytes, pc, true);
-            uint64_t v = bytes == 8 ? readPair(t, in.rb)
-                                    : readReg(t, in.rb);
+            uint64_t v = bytes == 8 ? readPair(rf, l, in.rb)
+                                    : readReg(rf, l, in.rb);
             std::memcpy(sharedPtr(addr, bytes, pc, true), &v, bytes);
         });
         sa.transactions = sharedBankTransactions(words);
@@ -979,12 +744,12 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
       }
       case Opcode::LDC: {
         unsigned bytes = in.memAccessBytes();
-        forEachExec([&](ThreadCtx &t, unsigned) {
+        forEachExec([&](ThreadCtx &, unsigned l) {
             uint64_t v = constRead(in, pc);
             if (bytes == 8)
-                writePair(t, in.rd, v);
+                writePair(rf, l, in.rd, v);
             else
-                writeReg(t, in.rd, static_cast<uint32_t>(v));
+                writeReg(rf, l, in.rd, static_cast<uint32_t>(v));
         });
         break;
       }
@@ -996,8 +761,8 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
         const unsigned bytes = (adt == DType::U64) ? 8 : 4;
         if (exec_mask != 0)
             mm_.atomicFence();
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            uint64_t addr = readPair(t, in.ra) +
+        forEachExec([&](ThreadCtx &t, unsigned l) {
+            uint64_t addr = readPair(rf, l, in.ra) +
                             static_cast<uint64_t>(in.imm);
             ga.sectors.insert(
                 addr & ~static_cast<uint64_t>(sector_bytes_ - 1));
@@ -1006,16 +771,16 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
             if (sancheck_ != 0)
                 sancheckGlobal(t, addr, bytes, pc, true, true);
             uint64_t old_v = loadGlobal(addr, bytes, pc);
-            uint64_t b = bytes == 8 ? readPair(t, in.rb)
-                                    : readReg(t, in.rb);
-            uint64_t c = bytes == 8 ? readPair(t, in.rc)
-                                    : readReg(t, in.rc);
+            uint64_t b = bytes == 8 ? readPair(rf, l, in.rb)
+                                    : readReg(rf, l, in.rb);
+            uint64_t c = bytes == 8 ? readPair(rf, l, in.rc)
+                                    : readReg(rf, l, in.rc);
             uint64_t new_v = atomApply(aop, adt, old_v, b, c);
             storeGlobal(addr, bytes, new_v, pc);
             if (bytes == 8)
-                writePair(t, in.rd, old_v);
+                writePair(rf, l, in.rd, old_v);
             else
-                writeReg(t, in.rd, static_cast<uint32_t>(old_v));
+                writeReg(rf, l, in.rd, static_cast<uint32_t>(old_v));
         });
         mm_.accountGlobalAccess(ga);
         break;
@@ -1025,8 +790,8 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
         uint32_t ballot = 0;
         uint8_t psrc = isa::modGetVotePred(in.mod);
         bool pneg = isa::modGetVotePredNeg(in.mod);
-        forEachExec([&](ThreadCtx &t, unsigned l) {
-            if (readPred(t, psrc, pneg))
+        forEachExec([&](ThreadCtx &, unsigned l) {
+            if (readPred(rf, l, psrc, pneg))
                 ballot |= 1u << l;
         });
         uint32_t result;
@@ -1042,36 +807,37 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
             result = (ballot == exec_mask);
             break;
         }
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd, result);
+        forEachExec([&](ThreadCtx &, unsigned l) {
+            writeReg(rf, l, in.rd, result);
         });
         break;
       }
       case Opcode::MATCH: {
         const bool wide = (in.mod & isa::kModSize64) != 0;
         std::array<uint64_t, kWarpSize> vals{};
-        forEachExec([&](ThreadCtx &t, unsigned l) {
-            vals[l] = wide ? readPair(t, in.ra) : readReg(t, in.ra);
+        forEachExec([&](ThreadCtx &, unsigned l) {
+            vals[l] = wide ? readPair(rf, l, in.ra)
+                           : readReg(rf, l, in.ra);
         });
-        forEachExec([&](ThreadCtx &t, unsigned l) {
+        forEachExec([&](ThreadCtx &, unsigned l) {
             uint32_t m = 0;
             for (unsigned j = 0; j < kWarpSize; ++j) {
                 if (((exec_mask >> j) & 1) && vals[j] == vals[l])
                     m |= 1u << j;
             }
-            writeReg(t, in.rd, m);
+            writeReg(rf, l, in.rd, m);
         });
         break;
       }
       case Opcode::SHFL: {
         const bool imm_lane = (in.mod & isa::kModShflImm) != 0;
         std::array<uint32_t, kWarpSize> vals{};
-        forEachExec([&](ThreadCtx &t, unsigned l) {
-            vals[l] = readReg(t, in.ra);
+        forEachExec([&](ThreadCtx &, unsigned l) {
+            vals[l] = readReg(rf, l, in.ra);
         });
-        forEachExec([&](ThreadCtx &t, unsigned l) {
+        forEachExec([&](ThreadCtx &, unsigned l) {
             uint32_t b = imm_lane ? static_cast<uint32_t>(in.imm)
-                                  : readReg(t, in.rb);
+                                  : readReg(rf, l, in.rb);
             int src;
             switch (isa::modGetShflMode(in.mod)) {
               case isa::ShflMode::IDX: src = b & 31; break;
@@ -1091,13 +857,13 @@ Interpreter::execute(const Instruction &in, ThreadCtx *warp,
                 ((exec_mask >> src) & 1)) {
                 v = vals[src];
             }
-            writeReg(t, in.rd, v);
+            writeReg(rf, l, in.rd, v);
         });
         break;
       }
       case Opcode::S2R:
-        forEachExec([&](ThreadCtx &t, unsigned) {
-            writeReg(t, in.rd,
+        forEachExec([&](ThreadCtx &t, unsigned l) {
+            writeReg(rf, l, in.rd,
                      specialReg(t, static_cast<isa::SpecialReg>(
                                        in.imm)));
         });

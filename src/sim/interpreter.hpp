@@ -112,13 +112,15 @@ class Interpreter
 
     /**
      * Execute one warp instruction.  @p warp points at the 32 thread
-     * contexts; active threads have already been advanced to
-     * @p next_pc (control flow overrides that here).
+     * contexts and @p rf is the warp's register file; active threads
+     * have already been advanced to @p next_pc (control flow overrides
+     * that here).  32-bit ALU instructions run their sim/alu.hpp table
+     * row; everything else runs the switch.
      * @throws DeviceException on faults.
      */
     void execute(const isa::Instruction &in, ThreadCtx *warp,
-                 uint32_t active_mask, uint32_t exec_mask, uint64_t pc,
-                 uint64_t next_pc);
+                 WarpRegFile &rf, uint32_t active_mask, uint32_t exec_mask,
+                 uint64_t pc, uint64_t next_pc);
 
     /**
      * Close the shared-memory race-detection epoch: the SM layer calls

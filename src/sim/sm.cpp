@@ -21,10 +21,7 @@ SmExecutor::SmExecutor(unsigned sm, const GpuConfig &cfg,
       functional_(functional),
       sample_period_(functional ? 0 : cfg.pc_sample_period),
       next_sample_(functional ? 0 : cfg.pc_sample_period)
-{
-    if (trace_cache_)
-        strip_regs_.resize(TraceCompiler::kMaxSlots * kWarpSize);
-}
+{}
 
 const isa::Instruction *
 SmExecutor::byteDecode(uint64_t pc, isa::Instruction &scratch)
@@ -320,6 +317,7 @@ SmExecutor::stepWarp(WarpScheduler &sched, Interpreter &interp, unsigned w,
     const uint64_t minpc = slot.pc;
     const uint32_t active_mask = slot.active_mask;
     ThreadCtx *warp = sched.warp(w);
+    WarpRegFile &rf = sched.regs(w);
     uint32_t exec_mask = 0;
 
     try {
@@ -329,7 +327,7 @@ SmExecutor::stepWarp(WarpScheduler &sched, Interpreter &interp, unsigned w,
         // Evaluate guard predicates.
         for (unsigned l = 0; l < kWarpSize; ++l) {
             if ((active_mask >> l) & 1) {
-                if (readPred(warp[l], in->pred, in->pred_neg))
+                if (readPred(rf, l, in->pred, in->pred_neg))
                     exec_mask |= 1u << l;
             }
         }
@@ -385,7 +383,8 @@ SmExecutor::stepWarp(WarpScheduler &sched, Interpreter &interp, unsigned w,
         cur_pc_ = minpc;
         cur_warp_ = w;
 
-        interp.execute(*in, warp, active_mask, exec_mask, minpc, next_pc);
+        interp.execute(*in, warp, rf, active_mask, exec_mask, minpc,
+                       next_pc);
 
         // Control flow costs one resolution bubble after executing.
         if (in->isControlFlow())

@@ -390,9 +390,6 @@ class SmExecutor : public MemModel
     /** Trace-lookup memo, valid for generation trace_gen_. */
     uint64_t trace_gen_ = UINT64_MAX;
     std::unordered_map<uint64_t, const Trace *> trace_memo_;
-    /** SoA scratch for strip execution: kMaxSlots x kWarpSize lanes. */
-    std::vector<uint32_t> strip_regs_;
-    std::array<uint8_t, kWarpSize> strip_preds_{};
 
     /** Current CTA context (valid while runCta is on the stack). */
     const CtaWork *cur_cta_ = nullptr;

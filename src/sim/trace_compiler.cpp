@@ -1,12 +1,9 @@
 #include "sim/trace_compiler.hpp"
 
-#include <cstring>
-#include <set>
-#include <unordered_map>
+#include <algorithm>
 
 namespace nvbit::sim {
 
-using isa::DType;
 using isa::Instruction;
 using isa::Opcode;
 
@@ -20,366 +17,13 @@ isTerminal(const Instruction &in)
            in.op == Opcode::BAR;
 }
 
-/**
- * Operand descriptor produced by shape analysis: either an
- * architectural register or a build-time constant (immediates and
- * LUI-style materialisations become splatted constant slots, so every
- * strip handler is a pure register-register operation).
- */
-struct SrcDesc {
-    bool used = false;
-    bool is_const = false;
-    uint8_t reg = isa::kRegZ;
-    uint32_t cval = 0;
-};
-
-/** Result of shape analysis for one strip-eligible instruction. */
-struct OpShape {
-    StripHandler h = StripHandler::Mov;
-    uint8_t aux = 0;
-    SrcDesc a, b, c;
-    bool d_is_pred = false;
-    uint8_t d = isa::kRegZ; ///< dst reg, or predicate index
-    bool reads_preds = false;
-    bool writes_preds = false;
-};
-
-SrcDesc
-srcReg(uint8_t r)
-{
-    SrcDesc s;
-    s.used = true;
-    s.reg = r;
-    return s;
-}
-
-SrcDesc
-srcConst(uint32_t v)
-{
-    SrcDesc s;
-    s.used = true;
-    s.is_const = true;
-    s.cval = v;
-    return s;
-}
-
-/** Second ALU source: immediate constant or Rb. */
-SrcDesc
-srcAlu2(const Instruction &in)
-{
-    return (in.mod & isa::kModImmSrc2)
-               ? srcConst(static_cast<uint32_t>(in.imm))
-               : srcReg(in.rb);
-}
-
-uint32_t
-f32Bits(float f)
-{
-    uint32_t b;
-    std::memcpy(&b, &f, sizeof(b));
-    return b;
-}
-
-/**
- * Shape analysis: can @p in run as a strip op, and with which
- * pre-bound handler?  Only always-executing, non-control-flow,
- * 32-bit-operand instructions qualify; everything else falls back to
- * the generic per-instruction entry.
- */
-bool
-stripShape(const Instruction &in, OpShape &s)
-{
-    if (!in.alwaysExecutes())
-        return false;
-    const DType dt = isa::modGetDType(in.mod);
-    s = OpShape{};
-    s.d = in.rd;
-    switch (in.op) {
-      case Opcode::MOV:
-        if (dt == DType::U64)
-            return false;
-        s.h = StripHandler::Mov;
-        // Alu1 form: the register source is ra.
-        s.a = (in.mod & isa::kModImmSrc2)
-                  ? srcConst(static_cast<uint32_t>(in.imm))
-                  : srcReg(in.ra);
-        return true;
-      case Opcode::LUI:
-        s.h = StripHandler::Mov;
-        s.a = srcConst(static_cast<uint32_t>(in.imm) << 16);
-        return true;
-      case Opcode::SEL:
-        s.h = StripHandler::Sel;
-        s.aux = static_cast<uint8_t>(
-            isa::modGetSelPred(in.mod) |
-            (isa::modGetSelPredNeg(in.mod) ? 0x08u : 0u));
-        s.a = srcReg(in.ra);
-        s.b = srcReg(in.rb);
-        s.reads_preds = true;
-        return true;
-      case Opcode::SHL:
-        if (dt == DType::U64)
-            return false;
-        s.h = StripHandler::Shl;
-        s.a = srcReg(in.ra);
-        s.b = srcAlu2(in);
-        return true;
-      case Opcode::SHR:
-        if (dt == DType::U64)
-            return false;
-        s.h = dt == DType::S32 ? StripHandler::ShrS : StripHandler::ShrU;
-        s.a = srcReg(in.ra);
-        s.b = srcAlu2(in);
-        return true;
-      case Opcode::AND:
-      case Opcode::OR:
-      case Opcode::XOR:
-        s.h = in.op == Opcode::AND  ? StripHandler::And
-              : in.op == Opcode::OR ? StripHandler::Or
-                                    : StripHandler::Xor;
-        s.a = srcReg(in.ra);
-        s.b = srcAlu2(in);
-        return true;
-      case Opcode::NOT:
-        s.h = StripHandler::Not;
-        s.a = srcReg(in.ra);
-        return true;
-      case Opcode::IADD:
-      case Opcode::ISUB:
-      case Opcode::IMUL:
-        if (dt == DType::U64)
-            return false;
-        s.h = in.op == Opcode::IADD   ? StripHandler::IAdd
-              : in.op == Opcode::ISUB ? StripHandler::ISub
-                                      : StripHandler::IMul;
-        s.a = srcReg(in.ra);
-        s.b = srcAlu2(in);
-        return true;
-      case Opcode::IMAD:
-        if (dt == DType::U64)
-            return false;
-        s.h = StripHandler::IMad;
-        s.a = srcReg(in.ra);
-        s.b = srcReg(in.rb);
-        s.c = srcReg(in.rc);
-        return true;
-      case Opcode::IMNMX:
-        s.h = dt == DType::S32 ? StripHandler::MnmxS
-                               : StripHandler::MnmxU;
-        s.aux = (in.mod & isa::kModMnmxMax) ? 1 : 0;
-        s.a = srcReg(in.ra);
-        s.b = srcAlu2(in);
-        return true;
-      case Opcode::POPC:
-        s.h = StripHandler::Popc;
-        s.a = srcReg(in.ra);
-        return true;
-      case Opcode::FADD:
-      case Opcode::FMUL:
-        s.h = in.op == Opcode::FADD ? StripHandler::FAdd
-                                    : StripHandler::FMul;
-        s.a = srcReg(in.ra);
-        s.b = srcAlu2(in);
-        return true;
-      case Opcode::FFMA:
-        s.h = StripHandler::FFma;
-        s.a = srcReg(in.ra);
-        s.b = srcReg(in.rb);
-        s.c = srcReg(in.rc);
-        return true;
-      case Opcode::FMNMX:
-        s.h = StripHandler::FMnmx;
-        s.aux = (in.mod & isa::kModMnmxMax) ? 1 : 0;
-        s.a = srcReg(in.ra);
-        s.b = srcAlu2(in);
-        return true;
-      case Opcode::MUFU:
-        s.h = StripHandler::Mufu;
-        s.aux = static_cast<uint8_t>(isa::modGetMufu(in.mod));
-        s.a = srcReg(in.ra);
-        return true;
-      case Opcode::I2F:
-        s.h = dt == DType::S32 ? StripHandler::I2FS
-                               : StripHandler::I2FU;
-        s.a = srcReg(in.ra);
-        return true;
-      case Opcode::F2I:
-        s.h = dt == DType::S32 ? StripHandler::F2IS
-                               : StripHandler::F2IU;
-        s.a = srcReg(in.ra);
-        return true;
-      case Opcode::ISETP: {
-        const DType sdt = isa::modGetSetpDType(in.mod);
-        if (sdt == DType::U64)
-            return false;
-        if ((in.rd & 0x7) == isa::kPredT)
-            return false; // PT destination: write is discarded
-        s.d_is_pred = true;
-        s.d = in.rd & 0x7;
-        s.aux = static_cast<uint8_t>(isa::modGetCmp(in.mod));
-        s.writes_preds = true;
-        s.a = srcReg(in.ra);
-        if (sdt == DType::S32) {
-            s.h = StripHandler::ISetpS;
-            if (in.mod & isa::kModSetpImm) {
-                // The interpreter compares the full signed imm; a
-                // 32-bit constant slot can only represent it exactly
-                // when it fits.
-                if (in.imm !=
-                    static_cast<int64_t>(static_cast<int32_t>(in.imm)))
-                    return false;
-                s.b = srcConst(static_cast<uint32_t>(in.imm));
-            } else {
-                s.b = srcReg(in.rb);
-            }
-        } else {
-            s.h = StripHandler::ISetpU;
-            s.b = (in.mod & isa::kModSetpImm)
-                      ? srcConst(static_cast<uint32_t>(in.imm))
-                      : srcReg(in.rb);
-        }
-        return true;
-      }
-      case Opcode::FSETP:
-        if ((in.rd & 0x7) == isa::kPredT)
-            return false;
-        s.d_is_pred = true;
-        s.d = in.rd & 0x7;
-        s.aux = static_cast<uint8_t>(isa::modGetCmp(in.mod));
-        s.writes_preds = true;
-        s.h = StripHandler::FSetp;
-        s.a = srcReg(in.ra);
-        s.b = (in.mod & isa::kModSetpImm)
-                  ? srcConst(f32Bits(static_cast<float>(in.imm)))
-                  : srcReg(in.rb);
-        return true;
-      case Opcode::P2R:
-        s.h = StripHandler::P2R;
-        s.reads_preds = true;
-        return true;
-      case Opcode::R2P:
-        s.h = StripHandler::R2P;
-        s.a = srcReg(in.ra);
-        s.writes_preds = true;
-        return true;
-      default:
-        return false;
-    }
-}
-
 /** One decoded superblock instruction before entry formation. */
 struct RawInstr {
     Instruction in;
     uint64_t pc = 0;
     const InlineProbe *probe = nullptr;
-    bool shaped = false;
-    OpShape shape;
-};
-
-/**
- * Incrementally allocates strip slots for one run.  Constant slots
- * are numbered after the variable slots, which are only known once
- * the run closes, so constants use a provisional 0x80|k encoding that
- * finalise() rewrites (kMaxSlots < 0x80, no collision).
- */
-class SlotAlloc
-{
-  public:
-    bool
-    wouldFit(const OpShape &s) const
-    {
-        unsigned nv = vars_.size(), nc = consts_.size();
-        auto addSrc = [&](const SrcDesc &d) {
-            if (!d.used)
-                return;
-            if (d.is_const) {
-                if (cmap_.find(d.cval) == cmap_.end())
-                    ++nc;
-            } else if (d.reg != isa::kRegZ &&
-                       vmap_.find(d.reg) == vmap_.end()) {
-                ++nv;
-            }
-        };
-        addSrc(s.a);
-        addSrc(s.b);
-        addSrc(s.c);
-        if (!s.d_is_pred && s.d != isa::kRegZ &&
-            vmap_.find(s.d) == vmap_.end())
-            ++nv;
-        return StripRun::kFirstVarSlot + nv + nc <=
-               TraceCompiler::kMaxSlots;
-    }
-
-    uint8_t
-    srcSlot(const SrcDesc &d)
-    {
-        if (!d.used)
-            return StripRun::kZeroSlot;
-        if (d.is_const) {
-            auto [it, fresh] = cmap_.try_emplace(
-                d.cval, static_cast<uint8_t>(0x80u | consts_.size()));
-            if (fresh)
-                consts_.push_back(d.cval);
-            return it->second;
-        }
-        return varSlot(d.reg);
-    }
-
-    uint8_t
-    dstSlot(uint8_t reg)
-    {
-        if (reg == isa::kRegZ)
-            return StripRun::kSinkSlot;
-        uint8_t s = varSlot(reg);
-        dirty_.insert(s);
-        return s;
-    }
-
-    void
-    finalize(StripRun &run)
-    {
-        const uint8_t cbase =
-            static_cast<uint8_t>(StripRun::kFirstVarSlot + vars_.size());
-        for (StripOp &op : run.ops) {
-            auto fix = [&](uint8_t &slot) {
-                if (slot & 0x80u)
-                    slot = static_cast<uint8_t>(cbase + (slot & 0x7Fu));
-            };
-            fix(op.a);
-            fix(op.b);
-            fix(op.c);
-            if (op.h != StripHandler::ISetpU &&
-                op.h != StripHandler::ISetpS &&
-                op.h != StripHandler::FSetp)
-                fix(op.d);
-        }
-        run.gather = vars_;
-        run.consts = consts_;
-        for (uint8_t s : dirty_)
-            run.scatter.emplace_back(
-                s, vars_[s - StripRun::kFirstVarSlot]);
-        run.nslots = static_cast<uint8_t>(cbase + consts_.size());
-    }
-
-  private:
-    uint8_t
-    varSlot(uint8_t reg)
-    {
-        if (reg == isa::kRegZ)
-            return StripRun::kZeroSlot;
-        auto [it, fresh] = vmap_.try_emplace(
-            reg,
-            static_cast<uint8_t>(StripRun::kFirstVarSlot + vars_.size()));
-        if (fresh)
-            vars_.push_back(reg);
-        return it->second;
-    }
-
-    std::unordered_map<uint8_t, uint8_t> vmap_;
-    std::unordered_map<uint32_t, uint8_t> cmap_;
-    std::vector<uint8_t> vars_;
-    std::vector<uint32_t> consts_;
-    std::set<uint8_t> dirty_;
+    bool shaped = false; ///< always-executing table row: strip-eligible
+    AluShape shape;
 };
 
 } // namespace
@@ -438,7 +82,7 @@ TraceCompiler::compile(uint64_t pc, const ProbeLookup &probe_at) const
              r.in.imm >=
                  static_cast<int64_t>(isa::SpecialReg::NumSpecialRegs)))
             break;
-        r.shaped = stripShape(r.in, r.shape);
+        r.shaped = r.in.alwaysExecutes() && aluShape(r.in, r.shape);
         raw.push_back(r);
         if (isTerminal(r.in))
             break;
@@ -480,34 +124,41 @@ TraceCompiler::compile(uint64_t pc, const ProbeLookup &probe_at) const
             ++i;
             continue;
         }
-        if (r.shaped && !isTerminal(r.in)) {
-            // Greedy maximal run under the slot budget.
+        if (r.shaped) {
+            // Greedy maximal run; immediates become constant rows.
             StripRun run;
-            SlotAlloc alloc;
+            std::vector<uint32_t> consts;
+            auto row = [&](const AluSrc &src) -> uint16_t {
+                if (!src.is_const)
+                    return src.reg;
+                auto it = std::find(consts.begin(), consts.end(), src.cval);
+                if (it == consts.end())
+                    it = consts.insert(consts.end(), src.cval);
+                return static_cast<uint16_t>(WarpRegFile::kRows +
+                                             (it - consts.begin()));
+            };
             size_t j = i;
-            while (j < n && raw[j].shaped && !raw[j].probe &&
-                   !isTerminal(raw[j].in) &&
-                   alloc.wouldFit(raw[j].shape)) {
-                const OpShape &s = raw[j].shape;
+            while (j < n && raw[j].shaped) {
+                const AluShape &s = raw[j].shape;
                 StripOp op;
-                op.h = s.h;
+                op.h = s.op;
                 op.op = raw[j].in.op;
-                op.a = alloc.srcSlot(s.a);
-                op.b = alloc.srcSlot(s.b);
-                op.c = alloc.srcSlot(s.c);
-                op.d = s.d_is_pred ? s.d : alloc.dstSlot(s.d);
+                op.d = s.d;
+                op.a = row(s.a);
+                op.b = row(s.b);
+                op.c = row(s.c);
                 op.aux = s.aux;
                 op.arch_dst =
                     raw[j].in.writesGpr() ? raw[j].in.rd : isa::kRegZ;
                 op.raw_stall = rawStall(raw[j].in);
                 op.pc = raw[j].pc;
-                run.preds = run.preds || s.reads_preds || s.writes_preds;
                 run.ops.push_back(op);
                 prev_dst = op.arch_dst;
                 ++j;
             }
             if (run.ops.size() >= kMinStripRun) {
-                alloc.finalize(run);
+                for (uint32_t v : consts)
+                    run.const_rows.insert(run.const_rows.end(), kWarpSize, v);
                 TraceEntry e;
                 e.kind = TraceEntryKind::Strip;
                 e.raw_stall = run.ops.front().raw_stall;

@@ -4,10 +4,9 @@
  *
  * The per-instruction engine re-derives everything about an
  * instruction on every dynamic execution: fetch, guard-predicate
- * evaluation, operand-shape interpretation inside the big interpreter
- * switch, and strided register-file access through ThreadCtx.  The
- * trace compiler applies the paper's amortisation lesson one level up
- * from the predecode cache: a straight-line *superblock* (entry pc up
+ * evaluation and operand-shape decoding.  The trace compiler applies
+ * the paper's amortisation lesson one level up from the predecode
+ * cache: a straight-line *superblock* (entry pc up
  * to and including the first control-flow / barrier / exit
  * instruction) is compiled once into an array of pre-bound entries
  * that the SM replays with computed-goto threaded dispatch
@@ -18,11 +17,11 @@
  *  - Op: one instruction executed through the regular interpreter,
  *    but with fetch, shape checks and the RAW-stall test resolved at
  *    build time.
- *  - Strip: a run of simple always-executing ALU instructions whose
- *    register operands are gathered into SoA lane strips (contiguous
- *    32-lane arrays, CuLifter-style operand-shape specialisation into
- *    one StripHandler per opcode+shape) and written back once at the
- *    end of the run.
+ *  - Strip: a run of simple always-executing 32-bit ALU instructions
+ *    executed as sim/alu.hpp table rows over all 32 lanes at once,
+ *    operands pointing straight at the warp's SoA register rows
+ *    (CuLifter-style operand-shape specialisation, resolved once at
+ *    build time by aluShape).
  *  - Probe: an NVBit instrumentation callsite (the patched
  *    jump-to-trampoline) whose tool function matches a declared
  *    inline-probe shape; the ballot/leader/atomic-add semantics are
@@ -41,65 +40,30 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "isa/arch.hpp"
 #include "isa/instruction.hpp"
 #include "mem/device_memory.hpp"
+#include "sim/alu.hpp"
 
 namespace nvbit::sim {
 
-/**
- * Pre-bound handler for one strip op: opcode + operand shape resolved
- * at build time (immediates become constant slots, dtype picks the
- * signed/unsigned/float variant), so execution is a direct dispatch.
- */
-enum class StripHandler : uint8_t {
-    Mov,   ///< d = a                      (MOV reg/imm, LUI)
-    IAdd,  ///< d = a + b                  (u32 wraparound)
-    ISub,  ///< d = a - b
-    IMul,  ///< d = low32(a * b)
-    IMad,  ///< d = a * b + c
-    And,   ///< d = a & b
-    Or,    ///< d = a | b
-    Xor,   ///< d = a ^ b
-    Not,   ///< d = ~a
-    Shl,   ///< d = a << (b & 31)
-    ShrU,  ///< d = a >> (b & 31)
-    ShrS,  ///< d = (u32)((s32)a >> (b & 31))
-    MnmxU, ///< d = aux ? max(a,b) : min(a,b), unsigned
-    MnmxS, ///< signed min/max
-    Popc,  ///< d = popcount(a)
-    FAdd,  ///< f32
-    FMul,  ///< f32
-    FFma,  ///< d = fma(a, b, c)
-    FMnmx, ///< aux ? fmax : fmin
-    Mufu,  ///< multi-function unit, sub-op in aux
-    I2FU,  ///< d = (f32)(u32)a
-    I2FS,  ///< d = (f32)(s32)a
-    F2IU,  ///< saturating f32 -> u32
-    F2IS,  ///< saturating f32 -> s32
-    ISetpU,///< P[d] = cmp_aux(a, b) zero-extended
-    ISetpS,///< P[d] = cmp_aux((s32)a, (s32)b) sign-extended
-    FSetp, ///< P[d] = cmp_aux(f32(a), f32(b))
-    Sel,   ///< d = P[aux&7]^neg ? a : b
-    P2R,   ///< d = predicate byte
-    R2P,   ///< predicate byte = a & 0x7F
-    NumHandlers
-};
-
-/** One pre-specialised strip operation over SoA lane strips. */
+/** One pre-bound strip operation: a table row plus operand rows. */
 struct StripOp {
-    StripHandler h = StripHandler::Mov;
+    AluOp h = AluOp::Mov;
     isa::Opcode op = isa::Opcode::NOP; ///< stats attribution
-    uint8_t d = 0;  ///< dst slot (Setp: predicate index 0..6)
-    uint8_t a = 0;  ///< src slot
-    uint8_t b = 0;  ///< src slot
-    uint8_t c = 0;  ///< src slot (IMad/FFma)
-    /** Mnmx/FMnmx: want-max flag; Mufu: MufuOp; Setp: CmpOp;
-     *  Sel: pred index | (neg << 3). */
-    uint8_t aux = 0;
+    /**
+     * Operand rows.  Below WarpRegFile::kRows they name a row of the
+     * executing warp's register file (RZ reads zero, the sink row takes
+     * discarded results); from kRows on, row kRows + k is the run's
+     * constant row k.  The destination is always a register row.
+     */
+    uint16_t d = WarpRegFile::kSinkRow;
+    uint16_t a = isa::kRegZ;
+    uint16_t b = isa::kRegZ;
+    uint16_t c = isa::kRegZ;
+    uint8_t aux = 0; ///< the row's modifier (see NVBIT_ALU_OPS)
     /** GPR this op architecturally writes (kRegZ when none); the RAW
      *  stall chain and WarpScheduler::lastDst are maintained from it. */
     uint8_t arch_dst = isa::kRegZ;
@@ -108,29 +72,12 @@ struct StripOp {
     uint64_t pc = 0;
 };
 
-/**
- * A run of strip ops plus its register-file interface.
- *
- * Slot layout: slot 0 always reads zero (RZ sources), slot 1 is a
- * write sink (RZ destinations), variable slots follow (one per
- * architectural register the run touches, gathered before the first
- * op and scattered after the last), then constant slots (immediates
- * splatted across lanes at gather time, never written).
- */
+/** A run of strip ops plus the constant rows its immediates read. */
 struct StripRun {
-    static constexpr uint8_t kZeroSlot = 0;
-    static constexpr uint8_t kSinkSlot = 1;
-    static constexpr uint8_t kFirstVarSlot = 2;
-
     std::vector<StripOp> ops;
-    /** Architectural register of each variable slot, in slot order. */
-    std::vector<uint8_t> gather;
-    /** (slot, arch reg) written back when the run exits or faults. */
-    std::vector<std::pair<uint8_t, uint8_t>> scatter;
-    /** Constant-slot values, in slot order after the variable slots. */
-    std::vector<uint32_t> consts;
-    uint8_t nslots = 0;  ///< zero + sink + vars + consts
-    bool preds = false;  ///< gather/scatter the predicate strip
+    /** Immediates splatted across lanes at build time, kWarpSize words
+     *  per row, deduplicated by value. */
+    std::vector<uint32_t> const_rows;
 };
 
 /**
@@ -208,8 +155,6 @@ class TraceCompiler
     static constexpr unsigned kMaxInstrs = 256;
     /** Minimum eligible-op run length worth strip formation. */
     static constexpr unsigned kMinStripRun = 4;
-    /** Slot budget per strip run (zero/sink/vars/consts). */
-    static constexpr unsigned kMaxSlots = 64;
 
     /** Looks up a *valid* inline probe at a pc; null when absent. */
     using ProbeLookup =

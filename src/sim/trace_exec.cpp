@@ -28,8 +28,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <cstring>
 
 #include "common/logging.hpp"
 
@@ -37,247 +35,78 @@ namespace nvbit::sim {
 
 namespace {
 
-// Float helpers mirror interpreter.cpp's (anonymous there) exactly;
-// the strip handlers must be bit-identical to the interpreter switch.
-
-float
-asF32(uint32_t bits)
-{
-    float f;
-    std::memcpy(&f, &bits, sizeof(f));
-    return f;
-}
-
-uint32_t
-asBits(float f)
-{
-    uint32_t b;
-    std::memcpy(&b, &f, sizeof(b));
-    return b;
-}
-
-int64_t
-f2iClamp(float f, bool is_signed)
-{
-    if (std::isnan(f))
-        return 0;
-    if (is_signed) {
-        if (f >= 2147483647.0f)
-            return 2147483647;
-        if (f <= -2147483648.0f)
-            return -2147483648ll;
-        return static_cast<int64_t>(f);
-    }
-    if (f >= 4294967295.0f)
-        return 4294967295ll;
-    if (f <= 0.0f)
-        return 0;
-    return static_cast<int64_t>(f);
-}
-
-bool
-cmpApply(isa::CmpOp c, uint64_t a, uint64_t b)
-{
-    switch (c) {
-      case isa::CmpOp::LT: return a < b;
-      case isa::CmpOp::EQ: return a == b;
-      case isa::CmpOp::LE: return a <= b;
-      case isa::CmpOp::GT: return a > b;
-      case isa::CmpOp::NE: return a != b;
-      case isa::CmpOp::GE: return a >= b;
-    }
-    return false;
-}
-
-bool
-cmpApplySigned(isa::CmpOp c, int64_t a, int64_t b)
-{
-    switch (c) {
-      case isa::CmpOp::LT: return a < b;
-      case isa::CmpOp::EQ: return a == b;
-      case isa::CmpOp::LE: return a <= b;
-      case isa::CmpOp::GT: return a > b;
-      case isa::CmpOp::NE: return a != b;
-      case isa::CmpOp::GE: return a >= b;
-    }
-    return false;
-}
-
-/** FSETP compares in float (NaN semantics differ from integer casts). */
-bool
-fcmpApply(isa::CmpOp c, float a, float b)
-{
-    switch (c) {
-      case isa::CmpOp::LT: return a < b;
-      case isa::CmpOp::EQ: return a == b;
-      case isa::CmpOp::LE: return a <= b;
-      case isa::CmpOp::GT: return a > b;
-      case isa::CmpOp::NE: return a != b;
-      case isa::CmpOp::GE: return a >= b;
-    }
-    return false;
-}
-
-float
-mufuApply(isa::MufuOp op, float a)
-{
-    float r = 0.0f;
-    switch (op) {
-      case isa::MufuOp::RCP: r = 1.0f / a; break;
-      case isa::MufuOp::SQRT: r = std::sqrt(a); break;
-      case isa::MufuOp::RSQ: r = 1.0f / std::sqrt(a); break;
-      case isa::MufuOp::EX2: r = std::exp2(a); break;
-      case isa::MufuOp::LG2: r = std::log2(a); break;
-      case isa::MufuOp::SIN: r = std::sin(a); break;
-      case isa::MufuOp::COS: r = std::cos(a); break;
-    }
-    return r;
-}
-
-inline void
-setPredBit(uint8_t &preds, uint8_t p, bool v)
-{
-    if (v)
-        preds |= static_cast<uint8_t>(1u << p);
-    else
-        preds &= static_cast<uint8_t>(~(1u << p));
-}
-
-/** SEL's source predicate: index in aux[2:0] (7 = PT), neg in aux[3]. */
-inline bool
-selPred(uint8_t preds, uint8_t aux)
-{
-    const uint8_t idx = aux & 0x7u;
-    bool v = idx == isa::kPredT ? true : ((preds >> idx) & 1) != 0;
-    return (aux & 0x08u) ? !v : v;
-}
-
 /**
- * Handler table: one entry per StripHandler, in enum order.  Each body
- * is the per-lane statement; D/A/B/C are the SoA strips of the current
- * op's slots and `preds` the per-lane predicate bytes.
- */
-#define NVBIT_STRIP_OPS(X)                                                 \
-    X(Mov, D[l] = A[l])                                                    \
-    X(IAdd, D[l] = A[l] + B[l])                                            \
-    X(ISub, D[l] = A[l] - B[l])                                            \
-    X(IMul, D[l] = A[l] * B[l])                                            \
-    X(IMad, D[l] = A[l] * B[l] + C[l])                                     \
-    X(And, D[l] = A[l] & B[l])                                             \
-    X(Or, D[l] = A[l] | B[l])                                              \
-    X(Xor, D[l] = A[l] ^ B[l])                                             \
-    X(Not, D[l] = ~A[l])                                                   \
-    X(Shl, D[l] = A[l] << (B[l] & 31))                                     \
-    X(ShrU, D[l] = A[l] >> (B[l] & 31))                                    \
-    X(ShrS, D[l] = static_cast<uint32_t>(static_cast<int32_t>(A[l]) >>     \
-                                         (B[l] & 31)))                     \
-    X(MnmxU, D[l] = o->aux ? std::max(A[l], B[l]) : std::min(A[l], B[l]))  \
-    X(MnmxS,                                                               \
-      D[l] = static_cast<uint32_t>(                                        \
-          o->aux ? std::max(static_cast<int32_t>(A[l]),                    \
-                            static_cast<int32_t>(B[l]))                    \
-                 : std::min(static_cast<int32_t>(A[l]),                    \
-                            static_cast<int32_t>(B[l]))))                  \
-    X(Popc, D[l] = static_cast<uint32_t>(std::popcount(A[l])))             \
-    X(FAdd, D[l] = asBits(asF32(A[l]) + asF32(B[l])))                      \
-    X(FMul, D[l] = asBits(asF32(A[l]) * asF32(B[l])))                      \
-    X(FFma, D[l] = asBits(std::fma(asF32(A[l]), asF32(B[l]),               \
-                                   asF32(C[l]))))                          \
-    X(FMnmx, D[l] = asBits(o->aux ? std::fmax(asF32(A[l]), asF32(B[l]))    \
-                                  : std::fmin(asF32(A[l]), asF32(B[l])))) \
-    X(Mufu, D[l] = asBits(mufuApply(static_cast<isa::MufuOp>(o->aux),      \
-                                    asF32(A[l]))))                         \
-    X(I2FU, D[l] = asBits(static_cast<float>(A[l])))                       \
-    X(I2FS,                                                                \
-      D[l] = asBits(static_cast<float>(static_cast<int32_t>(A[l]))))       \
-    X(F2IU, D[l] = static_cast<uint32_t>(f2iClamp(asF32(A[l]), false)))    \
-    X(F2IS, D[l] = static_cast<uint32_t>(f2iClamp(asF32(A[l]), true)))     \
-    X(ISetpU, setPredBit(preds[l], o->d,                                   \
-                         cmpApply(static_cast<isa::CmpOp>(o->aux), A[l],   \
-                                  B[l])))                                  \
-    X(ISetpS,                                                              \
-      setPredBit(preds[l], o->d,                                           \
-                 cmpApplySigned(static_cast<isa::CmpOp>(o->aux),           \
-                                static_cast<int32_t>(A[l]),                \
-                                static_cast<int32_t>(B[l]))))              \
-    X(FSetp, setPredBit(preds[l], o->d,                                    \
-                        fcmpApply(static_cast<isa::CmpOp>(o->aux),         \
-                                  asF32(A[l]), asF32(B[l]))))              \
-    X(Sel, D[l] = selPred(preds[l], o->aux) ? A[l] : B[l])                 \
-    X(P2R, D[l] = preds[l])                                                \
-    X(R2P, preds[l] = static_cast<uint8_t>(A[l] & 0x7F))
-
-/**
- * Execute [o, end) strip ops over the SoA strips @p S.  All 32 lanes
- * run unconditionally: the trace entry guard makes every non-exited
- * lane active, and exited lanes' registers are dead (never gathered
- * into anything observable again), so computing garbage for them is
- * free and keeps the lane loops branchless.
+ * Execute strip ops [o, end) of a run whose constant rows are @p K.
+ * All 32 lanes run unconditionally: the trace entry guard makes every
+ * non-exited lane active, and exited lanes' registers are dead (never
+ * read again), so computing garbage for them is free and keeps the
+ * lane loops branchless.
  *
  * Dispatch is computed-goto threaded code where the compiler supports
  * `&&label` (each handler jumps straight to the next op's handler); a
  * switch loop otherwise.
  */
 void
-execStripOps(const StripOp *o, const StripOp *end, uint32_t *S,
-             uint8_t *preds)
+execStripOps(const StripOp *o, const StripOp *end, WarpRegFile &rf,
+             const uint32_t *K)
 {
     if (o == end)
         return;
-    constexpr size_t kLanes = kWarpSize;
-    uint32_t *D = S + o->d * kLanes;
-    const uint32_t *A = S + o->a * kLanes;
-    const uint32_t *B = S + o->b * kLanes;
-    const uint32_t *C = S + o->c * kLanes;
-    (void)C;
+    auto src = [&](uint16_t r) -> const uint32_t * {
+        return r < WarpRegFile::kRows
+                   ? rf.regs[r]
+                   : K + (r - WarpRegFile::kRows) * kWarpSize;
+    };
+    uint8_t *P = rf.preds;
+    uint32_t *D;
+    const uint32_t *A, *B, *C;
+    uint8_t aux;
+#define NVBIT_STRIP_BIND()                                                 \
+    D = rf.regs[o->d];                                                     \
+    A = src(o->a);                                                         \
+    B = src(o->b);                                                         \
+    C = src(o->c);                                                         \
+    aux = o->aux;
+    NVBIT_STRIP_BIND()
 
 #if defined(__GNUC__) || defined(__clang__)
-#define NVBIT_H_ADDR(name, body) &&h_##name,
-    static const void *const kDispatch[] = {NVBIT_STRIP_OPS(NVBIT_H_ADDR)};
+#define NVBIT_H_ADDR(name, expr) &&h_##name,
+    static const void *const kDispatch[] = {NVBIT_ALU_OPS(NVBIT_H_ADDR)};
 #undef NVBIT_H_ADDR
     static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
-                      static_cast<size_t>(StripHandler::NumHandlers),
-                  "dispatch table out of sync with StripHandler");
+                      static_cast<size_t>(AluOp::NumOps),
+                  "dispatch table out of sync with AluOp");
     goto *kDispatch[static_cast<size_t>(o->h)];
-#define NVBIT_H(name, body)                                                \
+#define NVBIT_H(name, expr)                                                \
     h_##name:                                                              \
-    for (unsigned l = 0; l < kLanes; ++l) {                                \
-        body;                                                              \
-    }                                                                      \
+    for (unsigned l = 0; l < kWarpSize; ++l)                               \
+        NVBIT_ALU_LANE(expr)                                               \
     if (++o == end)                                                        \
         return;                                                            \
-    D = S + o->d * kLanes;                                                 \
-    A = S + o->a * kLanes;                                                 \
-    B = S + o->b * kLanes;                                                 \
-    C = S + o->c * kLanes;                                                 \
+    NVBIT_STRIP_BIND()                                                     \
     goto *kDispatch[static_cast<size_t>(o->h)];
-    NVBIT_STRIP_OPS(NVBIT_H)
+    NVBIT_ALU_OPS(NVBIT_H)
 #undef NVBIT_H
 #else
     for (;;) {
         switch (o->h) {
-#define NVBIT_H(name, body)                                                \
-    case StripHandler::name:                                               \
-        for (unsigned l = 0; l < kLanes; ++l) {                            \
-            body;                                                          \
-        }                                                                  \
+#define NVBIT_H(name, expr)                                                \
+    case AluOp::name:                                                      \
+        for (unsigned l = 0; l < kWarpSize; ++l)                           \
+            NVBIT_ALU_LANE(expr)                                           \
         break;
-            NVBIT_STRIP_OPS(NVBIT_H)
+            NVBIT_ALU_OPS(NVBIT_H)
 #undef NVBIT_H
-          case StripHandler::NumHandlers:
+          case AluOp::NumOps:
             break;
         }
         if (++o == end)
             return;
-        D = S + o->d * kLanes;
-        A = S + o->a * kLanes;
-        B = S + o->b * kLanes;
-        C = S + o->c * kLanes;
+        NVBIT_STRIP_BIND()
     }
 #endif
+#undef NVBIT_STRIP_BIND
 }
-
-#undef NVBIT_STRIP_OPS
 
 } // namespace
 
@@ -300,6 +129,7 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
                      const Trace &tr, uint32_t active_mask, unsigned budget)
 {
     ThreadCtx *warp = sched.warp(w);
+    WarpRegFile &rf = sched.regs(w);
     const unsigned n_active =
         static_cast<unsigned>(std::popcount(active_mask));
     unsigned consumed = 0;
@@ -328,13 +158,16 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
         ++shard_.warp_instrs;
         chargeCycles(1, obs::StallReason::None, pc, w);
         shard_.thread_instrs += std::popcount(exec);
-        shard_.warp_instrs_by_op[static_cast<size_t>(op)] += 1;
-        shard_.thread_instrs_by_op[static_cast<size_t>(op)] +=
-            std::popcount(exec);
-        ev.add(HwEvent::InstExecuted, 1);
-        ev.add(HwEvent::ThreadInstExecuted, n_active);
-        ev.add(HwEvent::ThreadInstNotPredicatedOff, std::popcount(exec));
-        ev.add(HwEvent::EligibleWarpsSum, eligible_warps_);
+        if (!functional_) {
+            shard_.warp_instrs_by_op[static_cast<size_t>(op)] += 1;
+            shard_.thread_instrs_by_op[static_cast<size_t>(op)] +=
+                std::popcount(exec);
+            ev.add(HwEvent::InstExecuted, 1);
+            ev.add(HwEvent::ThreadInstExecuted, n_active);
+            ev.add(HwEvent::ThreadInstNotPredicatedOff,
+                   std::popcount(exec));
+            ev.add(HwEvent::EligibleWarpsSum, eligible_warps_);
+        }
         if (shard_.warp_instrs > cfg_.max_warp_instrs_per_launch) {
             throw DeviceException(
                 TrapCode::WatchdogTimeout,
@@ -357,7 +190,7 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
         uint32_t m = 0;
         for (unsigned l = 0; l < kWarpSize; ++l) {
             if (((active_mask >> l) & 1) &&
-                readPred(warp[l], in.pred, in.pred_neg))
+                readPred(rf, l, in.pred, in.pred_neg))
                 m |= 1u << l;
         }
         return m;
@@ -410,7 +243,7 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
                 issueSlot(e.in.op, e.pc, exec, takeRaw(e.raw_stall));
                 cur_pc_ = e.pc;
                 cur_warp_ = w;
-                interp.execute(e.in, warp, active_mask, exec, e.pc,
+                interp.execute(e.in, warp, rf, active_mask, exec, e.pc,
                                next_pc);
                 if (e.is_cf)
                     chargeCycles(1, obs::StallReason::BranchResolve,
@@ -448,39 +281,8 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
                     last_dst = op.arch_dst;
                     last_pc = op.pc;
                 }
-                // Gather -> execute -> scatter over SoA lane strips.
-                uint32_t *S = strip_regs_.data();
-                std::memset(S, 0,
-                            kWarpSize * sizeof(uint32_t)); // zero slot
-                for (size_t i = 0; i < run.gather.size(); ++i) {
-                    uint32_t *dst =
-                        S + (StripRun::kFirstVarSlot + i) * kWarpSize;
-                    const uint8_t r = run.gather[i];
-                    for (unsigned l = 0; l < kWarpSize; ++l)
-                        dst[l] = warp[l].regs[r];
-                }
-                uint32_t *cs =
-                    S + (StripRun::kFirstVarSlot + run.gather.size()) *
-                            kWarpSize;
-                for (size_t k = 0; k < run.consts.size(); ++k) {
-                    for (unsigned l = 0; l < kWarpSize; ++l)
-                        cs[k * kWarpSize + l] = run.consts[k];
-                }
-                if (run.preds) {
-                    for (unsigned l = 0; l < kWarpSize; ++l)
-                        strip_preds_[l] = warp[l].preds;
-                }
-                execStripOps(run.ops.data(), run.ops.data() + nops, S,
-                             strip_preds_.data());
-                for (auto [slot, r] : run.scatter) {
-                    const uint32_t *src = S + slot * kWarpSize;
-                    for (unsigned l = 0; l < kWarpSize; ++l)
-                        warp[l].regs[r] = src[l];
-                }
-                if (run.preds) {
-                    for (unsigned l = 0; l < kWarpSize; ++l)
-                        warp[l].preds = strip_preds_[l];
-                }
+                execStripOps(run.ops.data(), run.ops.data() + nops, rf,
+                             run.const_rows.data());
                 if (nops < run.ops.size())
                     return exitHere(); // budget ended mid-run
                 break;
@@ -511,7 +313,7 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
                     pm = 0;
                     for (unsigned l = 0; l < kWarpSize; ++l) {
                         if (((active_mask >> l) & 1) &&
-                            readPred(warp[l], pr.orig.pred,
+                            readPred(rf, l, pr.orig.pred,
                                      pr.orig.pred_neg))
                             pm |= 1u << l;
                     }
@@ -564,7 +366,7 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
                 issueSlot(oin.op, e.pc, exec, false); // JMP wrote no GPR
                 cur_pc_ = e.pc;
                 cur_warp_ = w;
-                interp.execute(oin, warp, active_mask, exec, e.pc,
+                interp.execute(oin, warp, rf, active_mask, exec, e.pc,
                                next_pc);
                 if (oin.isControlFlow())
                     chargeCycles(1, obs::StallReason::BranchResolve,

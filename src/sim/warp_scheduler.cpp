@@ -14,6 +14,7 @@ WarpScheduler::WarpScheduler(const LaunchParams &lp)
                  "invalid block size %u", nthreads_);
     nwarps_ = (nthreads_ + kWarpSize - 1) / kWarpSize;
     threads_.resize(nwarps_ * kWarpSize);
+    regs_.resize(nwarps_);
     last_dst_.assign(nwarps_, isa::kRegZ);
 
     for (uint32_t z = 0, i = 0; z < lp.block[2]; ++z) {
@@ -27,7 +28,8 @@ WarpScheduler::WarpScheduler(const LaunchParams &lp)
                 t.pc = lp.entry_pc;
                 // ABI: R1 = stack pointer (stack grows downward
                 // from the top of the thread's local window).
-                t.regs[isa::kAbiSpReg] = lp.local_bytes;
+                regs_[i / kWarpSize].regs[isa::kAbiSpReg][i % kWarpSize] =
+                    lp.local_bytes;
             }
         }
     }

@@ -1,6 +1,7 @@
 /**
  * @file
- * Warp scheduling layer: per-thread contexts and min-PC issue logic.
+ * Warp scheduling layer: per-thread contexts, per-warp register files
+ * and min-PC issue logic.
  *
  * Divergence is handled with per-thread PCs and min-PC scheduling
  * (threads whose PC is smallest execute first), which reconverges
@@ -20,12 +21,10 @@
 
 namespace nvbit::sim {
 
-/** Per-thread architectural state. */
+/** Per-thread control state (registers live in the warp's WarpRegFile). */
 struct ThreadCtx {
     enum class St : uint8_t { Ready, Barrier, Exited };
 
-    std::array<uint32_t, isa::kNumRegNames> regs{};
-    uint8_t preds = 0;           // P0..P6 in bits 0..6
     uint64_t pc = 0;
     St state = St::Ready;
     uint64_t ret_stack[kMaxCallDepth];
@@ -34,57 +33,85 @@ struct ThreadCtx {
     uint32_t flat_tid = 0;
 };
 
+/**
+ * One warp's register file, structure-of-arrays: `regs[r]` is the row
+ * of register r across the 32 lanes, so a lane loop over one register
+ * walks contiguous words.  Row kRegZ is never written and reads as
+ * zero; ALU results with no GPR destination go to the sink row, which
+ * is never read.  `preds[lane]` holds P0..P6 in bits 0..6.
+ */
+struct WarpRegFile {
+    static constexpr unsigned kSinkRow = isa::kNumRegNames;
+    static constexpr unsigned kRows = isa::kNumRegNames + 1;
+
+    uint32_t regs[kRows][kWarpSize]{};
+    uint8_t preds[kWarpSize]{};
+};
+
 // --- Register-file helpers shared by scheduler and interpreter ----------
 
-inline uint32_t
-readReg(const ThreadCtx &t, uint8_t r)
+/** Predicate @p p (kPredT = constant true) of one lane's predicate byte. */
+inline bool
+predBit(uint8_t preds, uint8_t p, bool neg)
 {
-    return r == isa::kRegZ ? 0 : t.regs[r];
+    bool v = (p == isa::kPredT) ? true : ((preds >> p) & 1) != 0;
+    return neg ? !v : v;
+}
+
+/** @p preds with predicate @p p set to @p v (writes to PT are dropped). */
+inline uint8_t
+withPred(uint8_t preds, uint8_t p, bool v)
+{
+    if (p == isa::kPredT)
+        return preds;
+    return v ? static_cast<uint8_t>(preds | (1u << p))
+             : static_cast<uint8_t>(preds & ~(1u << p));
+}
+
+inline uint32_t
+readReg(const WarpRegFile &rf, unsigned lane, uint8_t r)
+{
+    return rf.regs[r][lane];
 }
 
 inline void
-writeReg(ThreadCtx &t, uint8_t r, uint32_t v)
+writeReg(WarpRegFile &rf, unsigned lane, uint8_t r, uint32_t v)
 {
     if (r != isa::kRegZ)
-        t.regs[r] = v;
+        rf.regs[r][lane] = v;
 }
 
 inline uint64_t
-readPair(const ThreadCtx &t, uint8_t r)
+readPair(const WarpRegFile &rf, unsigned lane, uint8_t r)
 {
     if (r == isa::kRegZ)
         return 0;
-    uint64_t lo = t.regs[r];
-    uint64_t hi = (r + 1 < isa::kRegZ) ? t.regs[r + 1] : 0;
+    // R254's high half is RZ, which reads zero.
+    uint64_t lo = rf.regs[r][lane];
+    uint64_t hi = rf.regs[r + 1][lane];
     return lo | (hi << 32);
 }
 
 inline void
-writePair(ThreadCtx &t, uint8_t r, uint64_t v)
+writePair(WarpRegFile &rf, unsigned lane, uint8_t r, uint64_t v)
 {
     if (r == isa::kRegZ)
         return;
-    t.regs[r] = static_cast<uint32_t>(v);
+    rf.regs[r][lane] = static_cast<uint32_t>(v);
     if (r + 1 < isa::kRegZ)
-        t.regs[r + 1] = static_cast<uint32_t>(v >> 32);
+        rf.regs[r + 1][lane] = static_cast<uint32_t>(v >> 32);
 }
 
 inline bool
-readPred(const ThreadCtx &t, uint8_t p, bool neg)
+readPred(const WarpRegFile &rf, unsigned lane, uint8_t p, bool neg)
 {
-    bool v = (p == isa::kPredT) ? true : ((t.preds >> p) & 1) != 0;
-    return neg ? !v : v;
+    return predBit(rf.preds[lane], p, neg);
 }
 
 inline void
-writePred(ThreadCtx &t, uint8_t p, bool v)
+writePred(WarpRegFile &rf, unsigned lane, uint8_t p, bool v)
 {
-    if (p == isa::kPredT)
-        return;
-    if (v)
-        t.preds |= static_cast<uint8_t>(1u << p);
-    else
-        t.preds &= static_cast<uint8_t>(~(1u << p));
+    rf.preds[lane] = withPred(rf.preds[lane], p, v);
 }
 
 /**
@@ -125,6 +152,7 @@ class WarpScheduler
     {
         return &threads_[w * kWarpSize];
     }
+    WarpRegFile &regs(unsigned w) { return regs_[w]; }
 
     /**
      * Min-PC selection: the issue PC is the smallest PC among the
@@ -183,15 +211,21 @@ class WarpScheduler
      */
     struct StateImage {
         std::vector<ThreadCtx> threads;
+        std::vector<WarpRegFile> regs;
         std::vector<uint8_t> last_dst;
     };
 
-    StateImage snapshotState() const { return {threads_, last_dst_}; }
+    StateImage
+    snapshotState() const
+    {
+        return {threads_, regs_, last_dst_};
+    }
 
     void
     restoreState(const StateImage &img)
     {
         threads_ = img.threads;
+        regs_ = img.regs;
         last_dst_ = img.last_dst;
     }
 
@@ -199,6 +233,7 @@ class WarpScheduler
     uint32_t nthreads_ = 0;
     unsigned nwarps_ = 0;
     std::vector<ThreadCtx> threads_;
+    std::vector<WarpRegFile> regs_; // per warp
     std::vector<uint8_t> last_dst_; // per warp; kRegZ = none
 };
 

@@ -18,6 +18,7 @@
 #include "driver/internal.hpp"
 #include "obs/metrics.hpp"
 #include "tools/fault_injection.hpp"
+#include "tools/instr_count.hpp"
 
 namespace nvbit::cudrv {
 namespace {
@@ -462,6 +463,91 @@ TEST_F(MtDriverTest, BackpressureFailsFastAndRetrySucceeds)
                   "driver.tenant0.queue_rejects"),
               static_cast<uint64_t>(rejected));
     ASSERT_EQ(cuStreamDestroy(s), CUDA_SUCCESS);
+}
+
+TEST_F(MtDriverTest, EventMarkersAreExemptFromBackpressure)
+{
+    // A stream filled to its queue depth behind an unsatisfied wait
+    // still accepts event markers (CUDA never fails a record or a wait
+    // for queue depth) while async work is pushed back.  The service is
+    // paused, so nothing drains and the queue contents are exact.
+    resetDriver();
+    ::setenv("NVBIT_SIM_STREAM_QUEUE_DEPTH", "4", 1);
+    checkCu(cuInit(0), "cuInit");
+    checkCu(cuCtxCreate(&ctx_, 0, 0), "cuCtxCreate");
+    CUfunction fn = loadKernel(kSlowSum, "slowsum");
+    CUstream prod = nullptr, s = nullptr;
+    ASSERT_EQ(cuStreamCreate(&prod, 0), CUDA_SUCCESS);
+    ASSERT_EQ(cuStreamCreate(&s, 0), CUDA_SUCCESS);
+    CUevent gate = nullptr, mark = nullptr;
+    ASSERT_EQ(cuEventCreate(&gate, 0), CUDA_SUCCESS);
+    ASSERT_EQ(cuEventCreate(&mark, 0), CUDA_SUCCESS);
+    CUdeviceptr out;
+    ASSERT_EQ(cuMemAlloc(&out, 4), CUDA_SUCCESS);
+    uint32_t iters = 10;
+    void *params[] = {&out, &iters};
+
+    detail::StreamService &svc = detail::StreamService::instance();
+    svc.pause();
+    ASSERT_EQ(cuEventRecord(gate, prod), CUDA_SUCCESS);
+    ASSERT_EQ(cuStreamWaitEvent(s, gate, 0), CUDA_SUCCESS);
+    for (int i = 0; i < 3; ++i)
+        ASSERT_EQ(cuLaunchKernel(fn, 1, 1, 1, 1, 1, 1, 0, s, params,
+                                 nullptr),
+                  CUDA_SUCCESS)
+            << i;
+    // Full: 1 wait + 3 launches.
+    EXPECT_EQ(cuLaunchKernel(fn, 1, 1, 1, 1, 1, 1, 0, s, params, nullptr),
+              CUDA_ERROR_LAUNCH_OUT_OF_RESOURCES);
+    EXPECT_EQ(cuEventRecord(mark, s), CUDA_SUCCESS);
+    EXPECT_EQ(cuStreamWaitEvent(s, gate, 0), CUDA_SUCCESS);
+    EXPECT_EQ(cuLaunchKernel(fn, 1, 1, 1, 1, 1, 1, 0, s, params, nullptr),
+              CUDA_ERROR_LAUNCH_OUT_OF_RESOURCES);
+    svc.unpause();
+
+    ASSERT_EQ(cuStreamSynchronize(s), CUDA_SUCCESS);
+    EXPECT_EQ(cuEventQuery(mark), CUDA_SUCCESS);
+    ASSERT_EQ(cuEventDestroy(gate), CUDA_SUCCESS);
+    ASSERT_EQ(cuEventDestroy(mark), CUDA_SUCCESS);
+    ASSERT_EQ(cuStreamDestroy(prod), CUDA_SUCCESS);
+    ASSERT_EQ(cuStreamDestroy(s), CUDA_SUCCESS);
+    ASSERT_EQ(cuMemFree(out), CUDA_SUCCESS);
+}
+
+TEST_F(MtDriverTest, ConcurrentFirstContextsUnderAToolAreSafe)
+{
+    // Two tenants' first cuCtxCreate under an attached tool both reach
+    // the core's one-time tool-function load; it must run once, and
+    // both contexts must then run instrumented kernels.
+    resetDriver();
+    for (int round = 0; round < 8; ++round) {
+        tools::InstrCountTool tool;
+        runApp(tool, [&] {
+            checkCu(cuInit(0), "cuInit");
+            CUcontext c[2] = {nullptr, nullptr};
+            std::atomic<int> ready{0};
+            auto create = [&](int i) {
+                ready.fetch_add(1);
+                while (ready.load() < 2)
+                    std::this_thread::yield();
+                if (cuCtxCreate(&c[i], 0, 0) != CUDA_SUCCESS)
+                    std::abort();
+            };
+            std::thread t0(create, 0), t1(create, 1);
+            t0.join();
+            t1.join();
+            for (CUcontext ctx : c) {
+                checkCu(cuCtxSetCurrent(ctx), "cuCtxSetCurrent");
+                tool.reset();
+                std::vector<float> out =
+                    runVecAdd(loadKernel(kVecAdd, "vecadd"), nullptr, 64);
+                EXPECT_FLOAT_EQ(out[63], 3.0f * 63);
+                EXPECT_GT(tool.threadInstrs(), 0u);
+            }
+            checkCu(cuCtxDestroy(c[0]), "cuCtxDestroy");
+            checkCu(cuCtxDestroy(c[1]), "cuCtxDestroy");
+        });
+    }
 }
 
 TEST_F(MtDriverTest, TeardownWithPendingAsyncOpsDrainsCleanly)
