@@ -25,8 +25,11 @@ using isa::Opcode;
 NvbitCore &
 NvbitCore::instance()
 {
-    static NvbitCore core;
-    return core;
+    // Leaked on purpose (same policy as the driver and obs
+    // singletons): stream workers joined by the exit handler may still
+    // call back into it.
+    static NvbitCore *core = new NvbitCore();
+    return *core;
 }
 
 // --- Injection ---------------------------------------------------------

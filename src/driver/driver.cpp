@@ -12,11 +12,11 @@
 #include "driver/callback.hpp"
 #include "driver/event_groups.hpp"
 #include "isa/abi.hpp"
+#include "obs/lifecycle.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/publisher.hpp"
-#include "obs/sanitizer.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "ptx/compiler.hpp"
@@ -67,8 +67,11 @@ struct DriverState {
 DriverState &
 state()
 {
-    static DriverState s;
-    return s;
+    // Leaked on purpose (same policy as the obs singletons): the
+    // process-exit handler stops the stream service, whose workers use
+    // this state, after static destructors may already have run.
+    static DriverState *s = new DriverState();
+    return *s;
 }
 
 /**
@@ -465,6 +468,9 @@ cuInit(unsigned flags)
             obs::SloMonitor::instance().publishGauges(nowNs());
         });
         pub.startFromEnv();
+        // At process exit, stop the service as resetDriver does before
+        // the flush: in-flight launches complete and are recorded.
+        obs::armExitFlush([] { detail::StreamService::instance().stop(); });
         obs::StructuredLog::instance().log(
             obs::LogLevel::Info, "driver", "initialised",
             {{"gpus", std::to_string(pool)}});
@@ -497,15 +503,11 @@ setDeviceConfig(const sim::GpuConfig &cfg)
 void
 resetDriver()
 {
-    // Teardown ordering: the telemetry publisher stops *before*
-    // anything it observes is torn down — its collector samples the
-    // stream service and tenant contexts, so a scrape racing the
-    // teardown below would walk freed state.  stop() joins the
-    // publisher thread and clears the collector.  The log ring is
-    // flushed (not disabled: later phases may still log) and the SLO
-    // windows dropped with the tenants they describe.
-    obs::TelemetryPublisher::instance().stop();
-    obs::StructuredLog::instance().flush();
+    // The shared flush runs first: it stops the telemetry publisher,
+    // whose collector samples the stream service and tenant contexts,
+    // before anything it observes is torn down.  The SLO windows are
+    // dropped with the tenants they describe.
+    obs::flushAll(obs::FlushReason::Reset);
     obs::SloMonitor::instance().reset();
     // Stop the stream service next: queued ops are cancelled with
     // CUDA_ERROR_DEINITIALIZED, in-flight ones complete (bounded by
@@ -647,9 +649,8 @@ noteLaunchFault(CUctx_st *ctx, CUfunc_st *fn,
             ctx->exc_info.func_name = fn->name;
         ctx->exc_info.valid = true;
     }
-    // Fault-path flush: leave valid (partial) observability artifacts
-    // on disk even if the process never reaches its atexit handlers
-    // after this error.
+    // Leave valid (partial) observability artifacts on disk even if
+    // the process never reaches its exit handler after this error.
     obs::StructuredLog::instance().log(
         obs::LogLevel::Error, "driver",
         strfmt("kernel '%s' trapped: %s", fname,
@@ -659,11 +660,7 @@ noteLaunchFault(CUctx_st *ctx, CUfunc_st *fn,
          {"pc", std::to_string(e.pc)},
          {"tenant",
           ctx ? std::to_string(ctx->tenant_id) : std::string("-")}});
-    obs::MetricsRegistry::instance().exportToEnvPath();
-    obs::Tracer::instance().flushSnapshot();
-    obs::Profiler::instance().exportToEnvPath();
-    obs::Sanitizer::instance().exportToEnvPath();
-    obs::StructuredLog::instance().flush();
+    obs::flushAll(obs::FlushReason::Fault);
     return r;
 }
 

@@ -178,8 +178,16 @@ readFunc(Reader &r, FuncImage &f)
     for (uint32_t i = 0; i < np && r.ok(); ++i) {
         ptx::ParamInfo p;
         p.name = r.str();
-        p.kind = static_cast<ptx::ParamKind>(r.u8());
+        uint8_t kind = r.u8();
+        p.kind = static_cast<ptx::ParamKind>(kind);
         p.bank0_offset = r.u32();
+        // cuLaunchKernel copies each argument into a param_bytes-sized
+        // constant bank 0 at this offset: an unknown kind or a slot past
+        // the end would overflow it.
+        if (kind > static_cast<uint8_t>(ptx::ParamKind::U64) ||
+            uint64_t{p.bank0_offset} + ptx::paramBytes(p.kind) >
+                f.param_bytes)
+            return false;
         f.params.push_back(std::move(p));
     }
     uint32_t nr = r.u32();

@@ -53,7 +53,9 @@ std::vector<uint8_t> serializeModule(const ptx::CompiledModule &mod);
 bool isBinaryImage(const void *image, size_t size);
 
 /**
- * Parse a binary image.  @return false on malformed input.
+ * Parse a binary image.  @return false on malformed input, including
+ * a parameter of unknown kind or one whose slot does not fit inside
+ * its function's `param_bytes`.
  */
 bool deserializeModule(const void *image, size_t size, ModuleData &out);
 

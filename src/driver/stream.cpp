@@ -51,8 +51,11 @@ opKindName(StreamOp::Kind k)
 StreamService &
 StreamService::instance()
 {
-    static StreamService svc;
-    return svc;
+    // Leaked on purpose (same policy as the obs singletons): a static
+    // destructor would run with the workers still joinable and abort
+    // the process; the exit handler stops the service instead.
+    static StreamService *svc = new StreamService();
+    return *svc;
 }
 
 bool

@@ -173,9 +173,9 @@ namespace detail {
 /**
  * The per-process stream service: owns one worker thread per simulated
  * GPU and all queue/scheduling state.  The driver starts it from
- * cuInit and stops it from resetDriver (teardown cancels every queued
- * op and waits for in-flight ones — the stream analogue of the
- * event_groups teardown contract).
+ * cuInit and stops it from resetDriver and from the process-exit
+ * handler (teardown cancels every queued op and waits for in-flight
+ * ones — the stream analogue of the event_groups teardown contract).
  */
 class StreamService
 {

@@ -6,33 +6,11 @@
 #include <sstream>
 
 #include "common/timer.hpp"
+#include "obs/lifecycle.hpp"
 
 namespace nvbit::obs {
 
 namespace {
-
-void
-appendJsonString(std::ostringstream &os, std::string_view s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
 
 LogLevel
 parseLevel(const char *s)
@@ -71,14 +49,9 @@ StructuredLog::instance()
 
 StructuredLog::StructuredLog()
 {
-    if (const char *path = std::getenv("NVBIT_SIM_LOG")) {
-        if (path[0] != '\0') {
-            enableToFile(path,
-                         parseLevel(std::getenv("NVBIT_SIM_LOG_LEVEL")));
-            std::atexit(
-                [] { StructuredLog::instance().disableAndFlush(); });
-        }
-    }
+    const char *path = std::getenv("NVBIT_SIM_LOG");
+    if (path != nullptr && path[0] != '\0')
+        enableToFile(path, parseLevel(std::getenv("NVBIT_SIM_LOG_LEVEL")));
 }
 
 void
@@ -118,36 +91,23 @@ StructuredLog::log(LogLevel lv, std::string_view component,
     }
 }
 
-bool
-StructuredLog::writeLocked() const
+std::string
+StructuredLog::jsonlLocked() const
 {
-    std::FILE *f = std::fopen(path_.c_str(), "w");
-    if (!f)
-        return false;
+    std::ostringstream os;
     for (const Record &r : ring_) {
-        std::ostringstream os;
         os << "{\"ts_us\": " << r.ts_us << ", \"level\": \""
-           << logLevelName(r.lv) << "\", \"component\": ";
-        appendJsonString(os, r.component);
-        os << ", \"msg\": ";
-        appendJsonString(os, r.msg);
-        for (const LogField &fl : r.fields) {
-            os << ", ";
-            appendJsonString(os, fl.first);
-            os << ": ";
-            appendJsonString(os, fl.second);
-        }
+           << logLevelName(r.lv) << "\", \"component\": "
+           << jsonQuote(r.component) << ", \"msg\": " << jsonQuote(r.msg);
+        for (const LogField &fl : r.fields)
+            os << ", " << jsonQuote(fl.first) << ": " << jsonQuote(fl.second);
         os << "}\n";
-        std::string line = os.str();
-        std::fwrite(line.data(), 1, line.size(), f);
     }
     if (dropped_ != 0)
-        std::fprintf(f,
-                     "{\"level\": \"warn\", \"component\": \"log\", "
-                     "\"msg\": \"ring overflow\", \"dropped\": %llu}\n",
-                     static_cast<unsigned long long>(dropped_));
-    std::fclose(f);
-    return true;
+        os << "{\"level\": \"warn\", \"component\": \"log\", "
+              "\"msg\": \"ring overflow\", \"dropped\": "
+           << dropped_ << "}\n";
+    return os.str();
 }
 
 std::string
@@ -156,7 +116,7 @@ StructuredLog::flush()
     std::lock_guard<std::mutex> lk(mu_);
     if (!enabled_.load(std::memory_order_relaxed))
         return "";
-    writeLocked();
+    writeArtifact(path_, jsonlLocked());
     return path_;
 }
 
@@ -168,7 +128,7 @@ StructuredLog::disableAndFlush()
         return "";
     enabled_.store(false, std::memory_order_relaxed);
     std::string path = path_;
-    writeLocked();
+    writeArtifact(path_, jsonlLocked());
     ring_.clear();
     dropped_ = 0;
     path_.clear();

@@ -5,10 +5,10 @@
  * Call sites log one record — level, component, message, optional
  * key/value fields — and the logger keeps the newest `kRingCap`
  * records in memory.  Nothing touches disk on the log path; the ring
- * is written (rewrite-in-place, one JSON object per line) on
- * `flush()`, at process exit, and on the driver fault path alongside
- * the other exporters, so a crashing run still leaves its last few
- * thousand records on disk.
+ * is written (one JSON object per line, via obs::writeArtifact) on
+ * `flush()` and by obs::flushAll — on the driver fault path, at
+ * resetDriver and at process exit — so a crashing run still leaves its
+ * last few thousand records on disk.
  *
  * Enable with `NVBIT_SIM_LOG=<path>`; `NVBIT_SIM_LOG_LEVEL` picks the
  * minimum level (`debug`/`info`/`warn`/`error`, default `info`).
@@ -98,7 +98,8 @@ class StructuredLog
         std::vector<LogField> fields;
     };
 
-    bool writeLocked() const;
+    /** The ring as JSON lines, plus the overflow record (mu_ held). */
+    std::string jsonlLocked() const;
 
     static constexpr size_t kRingCap = 4096;
 

@@ -5,35 +5,11 @@
 #include <sstream>
 
 #include "obs/counters.hpp"
+#include "obs/lifecycle.hpp"
 
 namespace nvbit::obs {
 
 namespace {
-
-/** Append a JSON string literal (names are ASCII identifiers, but the
- *  kernel field can in principle carry anything). */
-void
-appendJsonString(std::ostringstream &os, std::string_view s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
 
 /** Emit the non-zero entries of an event set as a JSON object. */
 void
@@ -46,8 +22,8 @@ appendEventsJson(std::ostringstream &os, const EventSet &ev)
             continue;
         os << (first ? "" : ", ");
         first = false;
-        appendJsonString(os, eventName(static_cast<HwEvent>(i)));
-        os << ": " << ev.counts[i];
+        os << jsonQuote(eventName(static_cast<HwEvent>(i))) << ": "
+           << ev.counts[i];
     }
     os << '}';
 }
@@ -74,13 +50,9 @@ MetricsRegistry::instance()
 
 MetricsRegistry::MetricsRegistry()
 {
-    // Opt-in process-exit dump: NVBIT_SIM_METRICS=<path>.  The path is
-    // re-read inside exportToEnvPath, so the handler also works if the
-    // variable changes before exit.
-    if (std::getenv("NVBIT_SIM_METRICS") != nullptr) {
-        std::atexit(
-            [] { MetricsRegistry::instance().exportToEnvPath(); });
-    }
+    // Every program that runs a kernel publishes here, so the first
+    // touch arms the process-exit flush of every sink (obs/lifecycle).
+    armExitFlush();
     applyHistoryCapFromEnv();
 }
 
@@ -375,8 +347,7 @@ MetricsRegistry::toJson(bool exact_only) const
             continue;
         os << (first ? "\n    " : ",\n    ");
         first = false;
-        appendJsonString(os, name);
-        os << ": " << c.value;
+        os << jsonQuote(name) << ": " << c.value;
     }
     os << (first ? "},\n" : "\n  },\n");
     os << "  \"histograms\": {";
@@ -386,8 +357,7 @@ MetricsRegistry::toJson(bool exact_only) const
             continue;
         os << (first ? "\n    " : ",\n    ");
         first = false;
-        appendJsonString(os, name);
-        os << ": {\"bounds\": [";
+        os << jsonQuote(name) << ": {\"bounds\": [";
         for (size_t i = 0; i < h.bounds.size(); ++i)
             os << (i ? ", " : "") << h.bounds[i];
         os << "], \"counts\": [";
@@ -402,9 +372,9 @@ MetricsRegistry::toJson(bool exact_only) const
     for (const LaunchRecord &r : launches_) {
         os << (first ? "\n    {" : ",\n    {");
         first = false;
-        os << "\"index\": " << r.index << ", \"kernel\": ";
-        appendJsonString(os, r.kernel);
-        os << ", \"thread_instrs\": " << r.thread_instrs
+        os << "\"index\": " << r.index
+           << ", \"kernel\": " << jsonQuote(r.kernel)
+           << ", \"thread_instrs\": " << r.thread_instrs
            << ", \"warp_instrs\": " << r.warp_instrs
            << ", \"ctas\": " << r.ctas << ", \"cycles\": " << r.cycles
            << ", \"global_mem_warp_instrs\": " << r.global_mem_warp_instrs
@@ -428,17 +398,15 @@ MetricsRegistry::toJson(bool exact_only) const
             for (const auto &[mname, mval] : evaluateAllMetrics(mi)) {
                 os << (mfirst ? "" : ", ");
                 mfirst = false;
-                appendJsonString(os, mname);
-                os << ": ";
+                os << jsonQuote(mname) << ": ";
                 appendMetricValue(os, mval);
             }
         }
         os << "}, \"cycles_by_reason\": {";
         for (size_t i = 0; i < kNumStallReasons; ++i) {
             os << (i ? ", " : "");
-            appendJsonString(
-                os, stallReasonName(static_cast<StallReason>(i)));
-            os << ": " << r.cycles_by_reason[i];
+            os << jsonQuote(stallReasonName(static_cast<StallReason>(i)))
+               << ": " << r.cycles_by_reason[i];
         }
         os << "}, \"sms\": [";
         for (size_t i = 0; i < r.sms.size(); ++i) {
@@ -460,9 +428,8 @@ MetricsRegistry::toJson(bool exact_only) const
             os << ", \"cycles_by_reason\": {";
             for (size_t j = 0; j < kNumStallReasons; ++j) {
                 os << (j ? ", " : "");
-                appendJsonString(
-                    os, stallReasonName(static_cast<StallReason>(j)));
-                os << ": " << s.cycles_by_reason[j];
+                os << jsonQuote(stallReasonName(static_cast<StallReason>(j)))
+                   << ": " << s.cycles_by_reason[j];
             }
             os << "}}";
         }
@@ -602,19 +569,6 @@ MetricsRegistry::toPrometheus(uint64_t *epoch_out) const
     os << "# TYPE nvbit_metrics_epoch gauge\n";
     os << "nvbit_metrics_epoch " << epoch_now << '\n';
     return os.str();
-}
-
-void
-MetricsRegistry::exportToEnvPath() const
-{
-    const char *path = std::getenv("NVBIT_SIM_METRICS");
-    if (path == nullptr || path[0] == '\0')
-        return;
-    std::string json = toJson();
-    if (std::FILE *f = std::fopen(path, "w")) {
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-    }
 }
 
 void

@@ -288,13 +288,6 @@ class MetricsRegistry
      */
     std::string toPrometheus(uint64_t *epoch_out = nullptr) const;
 
-    /**
-     * Write toJson() to $NVBIT_SIM_METRICS if set.  The variable is
-     * re-read at call time, so the fault path can flush even when it
-     * was exported after the registry was first touched.
-     */
-    void exportToEnvPath() const;
-
     /** Drop all counters, histograms and launch records; the history
      *  cap returns to its default (then env override, if any). */
     void reset();

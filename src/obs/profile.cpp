@@ -5,33 +5,11 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/lifecycle.hpp"
+
 namespace nvbit::obs {
 
 namespace {
-
-/** Append a JSON-escaped string literal (incl. quotes) to @p out. */
-void
-appendJsonString(std::string &out, std::string_view s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
 
 void
 appendU64(std::string &out, uint64_t v)
@@ -57,15 +35,9 @@ Profiler::Profiler() = default;
 Profiler &
 Profiler::instance()
 {
-    // Leaked on purpose (same pattern as MetricsRegistry): tools may
-    // export from atexit handlers, so the singleton must outlive every
-    // static destructor.
-    static Profiler *p = [] {
-        auto *inst = new Profiler();
-        if (std::getenv("NVBIT_SIM_PROFILE") != nullptr)
-            std::atexit([] { Profiler::instance().exportToEnvPath(); });
-        return inst;
-    }();
+    // Leaked on purpose (same pattern as MetricsRegistry): the exit
+    // flush reads it after static destructors may have run.
+    static Profiler *p = new Profiler();
     return *p;
 }
 
@@ -294,8 +266,7 @@ Profiler::toJson() const
     for (size_t i = 0; i < kNumStallReasons; ++i) {
         if (i)
             out += ", ";
-        appendJsonString(out,
-                         stallReasonName(static_cast<StallReason>(i)));
+        out += jsonQuote(stallReasonName(static_cast<StallReason>(i)));
         out += ": ";
         appendU64(out, reasons[i]);
     }
@@ -307,11 +278,11 @@ Profiler::toJson() const
         out += "    {\"pc\": ";
         appendU64(out, h.pc);
         out += ", \"func\": ";
-        appendJsonString(out, h.func);
+        out += jsonQuote(h.func);
         out += ", \"func_base\": ";
         appendU64(out, h.func_base);
         out += ", \"origin\": ";
-        appendJsonString(out, h.tool_origin ? "tool" : "app");
+        out += jsonQuote(h.tool_origin ? "tool" : "app");
         out += ", \"app_pc\": ";
         appendU64(out, h.app_pc);
         out += ", \"samples\": ";
@@ -320,8 +291,7 @@ Profiler::toJson() const
         for (size_t i = 0; i < kNumStallReasons; ++i) {
             if (i)
                 out += ", ";
-            appendJsonString(
-                out, stallReasonName(static_cast<StallReason>(i)));
+            out += jsonQuote(stallReasonName(static_cast<StallReason>(i)));
             out += ": ";
             appendU64(out, h.by_reason[i]);
         }
@@ -336,7 +306,7 @@ Profiler::toJson() const
             out += first ? "\n" : ",\n";
             first = false;
             out += "    {\"stack\": ";
-            appendJsonString(out, key);
+            out += jsonQuote(key);
             out += ", \"count\": ";
             appendU64(out, count);
             out += '}';
@@ -344,23 +314,6 @@ Profiler::toJson() const
     }
     out += first ? "]\n}\n" : "\n  ]\n}\n";
     return out;
-}
-
-void
-Profiler::exportToEnvPath() const
-{
-    const char *path = std::getenv("NVBIT_SIM_PROFILE");
-    if (path == nullptr || path[0] == '\0')
-        return;
-    std::string json = toJson();
-    FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "nvbit-sim: cannot write profile to %s\n",
-                     path);
-        return;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
 }
 
 void

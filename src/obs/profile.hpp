@@ -182,11 +182,6 @@ class Profiler
     /** Deterministic JSON document (period, totals, hotspots). */
     std::string toJson() const;
 
-    /** Write toJson() to $NVBIT_SIM_PROFILE if set (re-read at call
-     *  time so the fault path works even when the variable was set
-     *  after the singleton was first touched). */
-    void exportToEnvPath() const;
-
     // --- Test hooks ------------------------------------------------------
     /** Keep raw (unresolved) samples for differential tests. */
     void setRetainRaw(bool v);

@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "obs/lifecycle.hpp"
 #include "obs/metrics.hpp"
 
 namespace nvbit::obs {
@@ -70,20 +71,6 @@ TelemetryPublisher::running() const
 {
     std::lock_guard<std::mutex> lk(mu_);
     return running_;
-}
-
-bool
-TelemetryPublisher::writeFileSnapshot(const std::string &payload)
-{
-    // Write-to-temp + rename: scrapers reading the file never see a
-    // partially written payload.
-    std::string tmp = path_ + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    if (!f)
-        return false;
-    std::fwrite(payload.data(), 1, payload.size(), f);
-    std::fclose(f);
-    return std::rename(tmp.c_str(), path_.c_str()) == 0;
 }
 
 bool
@@ -158,6 +145,7 @@ TelemetryPublisher::runFile()
         if (stop_requested_)
             break;
         const uint64_t last = last_epoch_;
+        const std::string path = path_;
         lk.unlock();
         // The collector runs every tick, even when the registry looks
         // quiescent: windowed SLO gauges must decay as ring buckets
@@ -173,7 +161,7 @@ TelemetryPublisher::runFile()
         std::string payload = scrapeOnce(&observed);
         bool wrote = false;
         if (observed != last)
-            wrote = writeFileSnapshot(payload);
+            wrote = writeArtifact(path, payload);
         lk.lock();
         if (wrote)
             last_epoch_ = observed;
@@ -219,6 +207,19 @@ TelemetryPublisher::runSocket()
 }
 
 void
+TelemetryPublisher::snapshot()
+{
+    std::string path;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (!running_ || socket_mode_)
+            return;
+        path = path_;
+    }
+    writeArtifact(path, scrapeOnce());
+}
+
+void
 TelemetryPublisher::stop()
 {
     {
@@ -241,14 +242,10 @@ TelemetryPublisher::stop()
         }
         running_ = false;
     }
-    if (was_socket) {
+    if (was_socket)
         ::unlink(path.c_str());
-    } else {
-        // Leave a final snapshot so the file equals the end state.
-        std::string payload = scrapeOnce();
-        std::lock_guard<std::mutex> lk(mu_);
-        writeFileSnapshot(payload);
-    }
+    else // leave a final snapshot so the file equals the end state
+        writeArtifact(path, scrapeOnce());
     std::lock_guard<std::mutex> lk(mu_);
     path_.clear();
     collector_ = nullptr;

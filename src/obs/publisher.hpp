@@ -21,8 +21,8 @@
  * Lock order: publisher mutex, then whatever the collector takes
  * (stream-service mutex, SLO mutex), then the registry mutex inside
  * toPrometheus(); the publisher is stopped before the driver tears
- * anything down (see resetDriver), so the collector never races a
- * dying service.
+ * anything down (obs::flushAll stops it first), so the collector never
+ * races a dying service.
  *
  * Passivity: the publisher reads counters, it never writes them, and
  * nothing in the simulated-cycle path knows it exists — telemetry on
@@ -71,6 +71,10 @@ class TelemetryPublisher
      *  snapshot so the file equals the end state.  Idempotent. */
     void stop();
 
+    /** File mode: write one snapshot now and keep running (the fault
+     *  path).  No-op when stopped or in socket mode. */
+    void snapshot();
+
     bool running() const;
 
     /** Collector + toPrometheus(), synchronously (tests and the final
@@ -89,7 +93,6 @@ class TelemetryPublisher
 
     void runFile();
     void runSocket();
-    bool writeFileSnapshot(const std::string &payload);
 
     mutable std::mutex mu_;
     std::condition_variable cv_;

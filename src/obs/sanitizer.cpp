@@ -6,34 +6,12 @@
 #include <cstring>
 
 #include "common/logging.hpp"
+#include "obs/lifecycle.hpp"
 #include "obs/metrics.hpp"
 
 namespace nvbit::obs {
 
 namespace {
-
-void
-appendEscaped(std::string &out, std::string_view s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
 
 void
 appendU64(std::string &out, uint64_t v)
@@ -110,14 +88,8 @@ Sanitizer &
 Sanitizer::instance()
 {
     // Leaked on purpose (same pattern as Profiler/MetricsRegistry):
-    // reports may export from atexit handlers, so the singleton must
-    // outlive every static destructor.
-    static Sanitizer *p = [] {
-        auto *inst = new Sanitizer();
-        if (std::getenv("NVBIT_SIM_SANCHECK_REPORT") != nullptr)
-            std::atexit([] { Sanitizer::instance().exportToEnvPath(); });
-        return inst;
-    }();
+    // the exit flush reads it after static destructors may have run.
+    static Sanitizer *p = new Sanitizer();
     return *p;
 }
 
@@ -327,7 +299,7 @@ Sanitizer::toJson() const
                    ? "error"
                    : "warning";
         out += "\", \"message\": ";
-        appendEscaped(out, f.message);
+        out += jsonQuote(f.message);
         out += ", \"pc\": ";
         appendHex(out, f.pc);
         out += ", \"app_pc\": ";
@@ -335,7 +307,7 @@ Sanitizer::toJson() const
         out += ", \"tool_origin\": ";
         out += f.tool_origin ? "true" : "false";
         out += ", \"func\": ";
-        appendEscaped(out, f.func);
+        out += jsonQuote(f.func);
         out += ", \"addr\": ";
         appendHex(out, f.addr);
         out += ", \"bytes\": ";
@@ -375,24 +347,6 @@ Sanitizer::toJson() const
     }
     out += first ? "]\n}\n" : "\n  ]\n}\n";
     return out;
-}
-
-void
-Sanitizer::exportToEnvPath() const
-{
-    const char *path = std::getenv("NVBIT_SIM_SANCHECK_REPORT");
-    if (path == nullptr || path[0] == '\0')
-        return;
-    std::string json = toJson();
-    FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr,
-                     "nvbit-sim: cannot write sancheck report to %s\n",
-                     path);
-        return;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
 }
 
 void

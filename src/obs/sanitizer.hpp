@@ -199,10 +199,6 @@ class Sanitizer
     std::string textReport() const;
     /** Deterministic JSON document (schema: docs/observability.md). */
     std::string toJson() const;
-    /** Write toJson() to $NVBIT_SIM_SANCHECK_REPORT if set (re-read at
-     *  call time so the fault path works even when the variable was
-     *  set after the singleton was first touched). */
-    void exportToEnvPath() const;
 
     // --- Test hooks ----------------------------------------------------
     /** Drop findings, counters and the requested mask; the resolver

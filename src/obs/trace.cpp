@@ -5,35 +5,9 @@
 #include <sstream>
 
 #include "common/timer.hpp"
+#include "obs/lifecycle.hpp"
 
 namespace nvbit::obs {
-
-namespace {
-
-void
-appendJsonString(std::ostringstream &os, std::string_view s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-} // namespace
 
 TraceArg
 argU64(std::string_view key, uint64_t value)
@@ -44,9 +18,7 @@ argU64(std::string_view key, uint64_t value)
 TraceArg
 argStr(std::string_view key, std::string_view value)
 {
-    std::ostringstream os;
-    appendJsonString(os, value);
-    return {std::string(key), os.str()};
+    return {std::string(key), jsonQuote(value)};
 }
 
 Tracer &
@@ -58,10 +30,8 @@ Tracer::instance()
 
 Tracer::Tracer()
 {
-    if (const char *path = std::getenv("NVBIT_SIM_TRACE")) {
+    if (const char *path = std::getenv("NVBIT_SIM_TRACE"))
         enableToFile(path);
-        std::atexit([] { Tracer::instance().disableAndFlush(); });
-    }
 }
 
 void
@@ -92,11 +62,7 @@ Tracer::emitProcessNames()
     auto meta = [&](int pid, int tid, const char *what,
                     const char *name) {
         Event ev{'M', pid, tid, 0, 0, what, "__metadata", ""};
-        std::ostringstream os;
-        os << "{\"name\": ";
-        appendJsonString(os, name);
-        os << "}";
-        ev.args_json = os.str();
+        ev.args_json = "{\"name\": " + jsonQuote(name) + "}";
         events_.push_back(std::move(ev));
     };
     meta(kHostPid, 0, "process_name", "host");
@@ -118,11 +84,7 @@ Tracer::nameProcess(int pid, std::string_view name)
     if (!named_processes_.insert(pid).second)
         return;
     Event ev{'M', pid, 0, 0, 0, "process_name", "__metadata", ""};
-    std::ostringstream os;
-    os << "{\"name\": ";
-    appendJsonString(os, name);
-    os << "}";
-    ev.args_json = os.str();
+    ev.args_json = "{\"name\": " + jsonQuote(name) + "}";
     events_.push_back(std::move(ev));
 }
 
@@ -135,11 +97,7 @@ Tracer::nameThread(int pid, int tid, std::string_view name)
     if (!named_threads_.insert({pid, tid}).second)
         return;
     Event ev{'M', pid, tid, 0, 0, "thread_name", "__metadata", ""};
-    std::ostringstream os;
-    os << "{\"name\": ";
-    appendJsonString(os, name);
-    os << "}";
-    ev.args_json = os.str();
+    ev.args_json = "{\"name\": " + jsonQuote(name) + "}";
     events_.push_back(std::move(ev));
 }
 
@@ -167,8 +125,7 @@ Tracer::complete(int pid, int tid, std::string_view name,
         for (size_t i = 0; i < args.size(); ++i) {
             if (i)
                 os << ", ";
-            appendJsonString(os, args[i].first);
-            os << ": " << args[i].second;
+            os << jsonQuote(args[i].first) << ": " << args[i].second;
         }
         os << "}";
         ev.args_json = os.str();
@@ -191,8 +148,7 @@ Tracer::instant(int pid, int tid, std::string_view name,
         for (size_t i = 0; i < args.size(); ++i) {
             if (i)
                 os << ", ";
-            appendJsonString(os, args[i].first);
-            os << ": " << args[i].second;
+            os << jsonQuote(args[i].first) << ": " << args[i].second;
         }
         os << "}";
         ev.args_json = os.str();
@@ -215,8 +171,7 @@ Tracer::flowEvent(char ph, int pid, int tid, std::string_view name,
         for (size_t i = 0; i < args.size(); ++i) {
             if (i)
                 os << ", ";
-            appendJsonString(os, args[i].first);
-            os << ": " << args[i].second;
+            os << jsonQuote(args[i].first) << ": " << args[i].second;
         }
         os << "}";
         ev.args_json = os.str();
@@ -263,30 +218,24 @@ Tracer::encode(const Event &ev)
         if (ev.ph == 'f')
             os << ", \"bp\": \"e\"";
     }
-    os << ", \"name\": ";
-    appendJsonString(os, ev.name);
-    os << ", \"cat\": ";
-    appendJsonString(os, ev.cat);
+    os << ", \"name\": " << jsonQuote(ev.name)
+       << ", \"cat\": " << jsonQuote(ev.cat);
     if (!ev.args_json.empty())
         os << ", \"args\": " << ev.args_json;
     os << "}";
     return os.str();
 }
 
-bool
-Tracer::writeLocked() const
+std::string
+Tracer::jsonLocked() const
 {
-    std::FILE *f = std::fopen(path_.c_str(), "w");
-    if (!f)
-        return false;
-    std::fputs("{\"traceEvents\": [", f);
+    std::string out = "{\"traceEvents\": [";
     for (size_t i = 0; i < events_.size(); ++i) {
-        std::string line = encode(events_[i]);
-        std::fprintf(f, "%s%s", i ? ",\n" : "\n", line.c_str());
+        out += i ? ",\n" : "\n";
+        out += encode(events_[i]);
     }
-    std::fputs("\n]}\n", f);
-    std::fclose(f);
-    return true;
+    out += "\n]}\n";
+    return out;
 }
 
 std::string
@@ -297,7 +246,7 @@ Tracer::disableAndFlush()
         return "";
     enabled_.store(false, std::memory_order_relaxed);
     std::string path = path_;
-    writeLocked();
+    writeArtifact(path_, jsonLocked());
     events_.clear();
     named_threads_.clear();
     named_processes_.clear();
@@ -311,7 +260,7 @@ Tracer::flushSnapshot()
     std::lock_guard<std::mutex> lk(mu_);
     if (!enabled_.load(std::memory_order_relaxed))
         return "";
-    writeLocked();
+    writeArtifact(path_, jsonLocked());
     return path_;
 }
 

@@ -151,8 +151,8 @@ class Tracer
                    std::string_view cat, uint64_t ts_us, uint64_t id,
                    std::vector<TraceArg> args);
     void emitProcessNames();
-    /** Write events_ to path_ as a complete JSON doc (mu_ held). */
-    bool writeLocked() const;
+    /** events_ as one complete JSON document (mu_ held). */
+    std::string jsonLocked() const;
     static std::string encode(const Event &ev);
 
     std::atomic<bool> enabled_{false};

@@ -67,6 +67,30 @@ applyEnvOverrides(GpuConfig &cfg)
     }
 }
 
+/** A launch grid in flat order (x fastest), and the same CTAs split
+ *  round-robin over the SMs: CTA i runs on SM i % nsm. */
+struct GridPlan {
+    std::vector<CtaWork> all;
+    std::vector<std::vector<CtaWork>> per_sm;
+};
+
+GridPlan
+planGrid(const LaunchParams &lp, unsigned nsm)
+{
+    GridPlan g;
+    g.all.reserve(static_cast<size_t>(lp.grid[0]) * lp.grid[1] *
+                  lp.grid[2]);
+    uint64_t cta_index = 0;
+    for (uint32_t z = 0; z < lp.grid[2]; ++z)
+        for (uint32_t y = 0; y < lp.grid[1]; ++y)
+            for (uint32_t x = 0; x < lp.grid[0]; ++x, ++cta_index)
+                g.all.push_back(CtaWork{cta_index, {x, y, z}});
+    g.per_sm.resize(nsm);
+    for (const CtaWork &w : g.all)
+        g.per_sm[w.cta_index % nsm].push_back(w);
+    return g;
+}
+
 } // namespace
 
 GpuDevice::GpuDevice(const GpuConfig &cfg)
@@ -170,22 +194,11 @@ GpuDevice::launch(const LaunchParams &lp)
     if (cfg_.cold_launch)
         caches_.invalidateAll();
 
-    // Enumerate the grid and assign CTAs round-robin over SMs.
-    std::vector<CtaWork> all;
-    all.reserve(static_cast<size_t>(lp.grid[0]) * lp.grid[1] *
-                lp.grid[2]);
-    uint64_t cta_index = 0;
-    for (uint32_t z = 0; z < lp.grid[2]; ++z)
-        for (uint32_t y = 0; y < lp.grid[1]; ++y)
-            for (uint32_t x = 0; x < lp.grid[0]; ++x, ++cta_index)
-                all.push_back(CtaWork{cta_index, {x, y, z}});
-
     const unsigned nsm = cfg_.num_sms;
+    const GridPlan grid = planGrid(lp, nsm);
+    const std::vector<CtaWork> &all = grid.all;
+    const std::vector<std::vector<CtaWork>> &per_sm = grid.per_sm;
     std::vector<std::unique_ptr<SmExecutor>> execs = makeExecutors();
-
-    std::vector<std::vector<CtaWork>> per_sm(nsm);
-    for (const CtaWork &w : all)
-        per_sm[w.cta_index % nsm].push_back(w);
 
     if (obs::Tracer::instance().enabled())
         for (unsigned sm = 0; sm < nsm; ++sm)
@@ -417,26 +430,15 @@ GpuDevice::resumeLaunch(const GpuState &st)
     const LaunchParams &lp = st.lp;
     // NOTE: no cold-launch flush here — the cache state at the capture
     // point (which already saw this launch's flush) is the capsule's.
-    std::vector<CtaWork> all;
-    all.reserve(static_cast<size_t>(lp.grid[0]) * lp.grid[1] *
-                lp.grid[2]);
-    uint64_t cta_index = 0;
-    for (uint32_t z = 0; z < lp.grid[2]; ++z)
-        for (uint32_t y = 0; y < lp.grid[1]; ++y)
-            for (uint32_t x = 0; x < lp.grid[0]; ++x, ++cta_index)
-                all.push_back(CtaWork{cta_index, {x, y, z}});
-
     const unsigned nsm = cfg_.num_sms;
+    const GridPlan grid = planGrid(lp, nsm);
+    const std::vector<CtaWork> &all = grid.all;
     std::vector<std::unique_ptr<SmExecutor>> execs = makeExecutors();
     NVBIT_ASSERT(st.sms.size() == execs.size(),
                  "capsule SM count %zu != device SM count %zu",
                  st.sms.size(), execs.size());
     for (size_t sm = 0; sm < execs.size(); ++sm)
         execs[sm]->restoreCommitted(st.sms[sm]);
-
-    std::vector<std::vector<CtaWork>> per_sm(nsm);
-    for (const CtaWork &w : all)
-        per_sm[w.cta_index % nsm].push_back(w);
 
     AtomicGate gate(all.size());
     for (uint64_t i = 0; i < st.next_cta && i < all.size(); ++i)
@@ -455,7 +457,7 @@ GpuDevice::resumeLaunch(const GpuState &st)
         gate.markDone(w.cta_index);
     }
 
-    return finishLaunch(lp, all, execs, per_sm);
+    return finishLaunch(lp, all, execs, grid.per_sm);
 }
 
 void

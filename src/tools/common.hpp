@@ -10,7 +10,7 @@
 #define NVBIT_TOOLS_COMMON_HPP
 
 #include <functional>
-#include <set>
+#include <map>
 
 #include "core/nvbit.hpp"
 #include "driver/internal.hpp"
@@ -48,6 +48,8 @@ class LaunchInstrumentingTool : public NvbitTool
             } else {
                 onLaunchExit(ctx, p, *status);
             }
+        } else if (!is_exit) {
+            forgetDeadFunctions(cbid, params);
         }
         onDriverCall(ctx, is_exit, cbid, name, params, status);
     }
@@ -83,6 +85,13 @@ class LaunchInstrumentingTool : public NvbitTool
     }
 
   private:
+    /** Where a seen function lives, recorded while it is alive, so it
+     *  can be forgotten without touching it once it is freed. */
+    struct SeenFunc {
+        cudrv::CUmodule mod;
+        CUcontext ctx;
+    };
+
     void
     instrumentAtFirstLaunch(CUcontext ctx, CUfunction f)
     {
@@ -90,15 +99,41 @@ class LaunchInstrumentingTool : public NvbitTool
             nvbit_get_related_functions(ctx, f);
         funcs.push_back(f);
         for (CUfunction g : funcs) {
-            if (!seen_.insert(g).second)
+            if (!seen_.try_emplace(g, SeenFunc{g->mod, g->mod->ctx})
+                     .second)
                 continue;
             if (passesFilter(g))
                 instrumentFunction(ctx, g);
         }
     }
 
+    /**
+     * A freed CUfunc_st's address can come back as a new kernel, which
+     * must not be skipped as already instrumented.  Functions die with
+     * their module (cuModuleUnload), their context (cuCtxDestroy), or
+     * in resetDriver, which runs no callbacks: the next cuInit that
+     * finds the driver uninitialised is when those are forgotten.
+     */
+    void
+    forgetDeadFunctions(CallbackId cbid, void *params)
+    {
+        if (cbid == CallbackId::cuModuleUnload) {
+            cudrv::CUmodule mod =
+                static_cast<cudrv::cuModuleUnload_params *>(params)->module;
+            std::erase_if(seen_,
+                          [&](const auto &e) { return e.second.mod == mod; });
+        } else if (cbid == CallbackId::cuCtxDestroy) {
+            CUcontext c =
+                static_cast<cudrv::cuCtxDestroy_params *>(params)->ctx;
+            std::erase_if(seen_,
+                          [&](const auto &e) { return e.second.ctx == c; });
+        } else if (cbid == CallbackId::cuInit && cudrv::deviceCount() == 0) {
+            seen_.clear();
+        }
+    }
+
     FuncFilter filter_;
-    std::set<CUfunction> seen_;
+    std::map<CUfunction, SeenFunc> seen_;
 };
 
 } // namespace nvbit::tools

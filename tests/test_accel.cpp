@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <vector>
@@ -15,6 +16,12 @@
 #include "driver/api.hpp"
 #include "driver/module_image.hpp"
 #include "tools/instr_count.hpp"
+
+// The simBLAS images ptxc embeds at build time (as test_simblas.bin).
+extern const unsigned char simblas_image_sm5x[];
+extern const size_t simblas_image_sm5x_len;
+extern const unsigned char simblas_image_sm7x[];
+extern const size_t simblas_image_sm7x_len;
 
 namespace nvbit::accel {
 namespace {
@@ -213,6 +220,53 @@ TEST_F(AccelTest, LibraryShipsAsBinaryImageWithLineInfo)
     EXPECT_FALSE(fn->line_info.empty());
     EXPECT_GT(fn->num_regs, 8u);
     EXPECT_GT(fn->code_size, 100u);
+}
+
+TEST_F(AccelTest, ImageWithParamSlotOutsideBank0IsRejected)
+{
+    std::vector<uint8_t> image(simblas_image_sm5x,
+                               simblas_image_sm5x + simblas_image_sm5x_len);
+    if (device().family() == isa::ArchFamily::SM7x)
+        image.assign(simblas_image_sm7x,
+                     simblas_image_sm7x + simblas_image_sm7x_len);
+    ModuleData md;
+    ASSERT_TRUE(deserializeModule(image.data(), image.size(), md));
+    auto fn = std::find_if(md.functions.begin(), md.functions.end(),
+                           [](const FuncImage &f) {
+                               return f.name == "simblas_sgemm_nn";
+                           });
+    ASSERT_NE(fn, md.functions.end());
+    const uint32_t param_bytes = fn->param_bytes;
+
+    // simblas_sgemm_nn's parameter records: name (u32 length, bytes),
+    // kind (u8), bank0_offset (u32).  Find A (u64) followed by B.
+    const uint8_t rec_a[] = {1, 0, 0, 0, 'A', 1};
+    const uint8_t rec_b[] = {1, 0, 0, 0, 'B', 1};
+    size_t at = 0;
+    for (; at + 16 <= image.size(); ++at)
+        if (std::equal(rec_a, rec_a + 6, image.begin() + at) &&
+            std::equal(rec_b, rec_b + 6, image.begin() + at + 10))
+            break;
+    ASSERT_LE(at + 16, image.size()) << "parameter A record not found";
+    const size_t kind_at = at + 5, offset_at = at + 6;
+
+    auto loadWith = [&](size_t pos, uint32_t v, size_t width) {
+        std::vector<uint8_t> patched = image;
+        for (size_t i = 0; i < width; ++i)
+            patched[pos + i] = static_cast<uint8_t>(v >> (8 * i));
+        CUmodule mod = nullptr;
+        return cuModuleLoadData(&mod, patched.data(), patched.size());
+    };
+    // The last slot a u64 fits in loads; one byte further, or far past
+    // param_bytes, would overflow constant bank 0 at launch.
+    EXPECT_EQ(loadWith(offset_at, param_bytes - 8, 4), CUDA_SUCCESS);
+    EXPECT_EQ(loadWith(offset_at, param_bytes - 7, 4),
+              CUDA_ERROR_INVALID_IMAGE);
+    EXPECT_EQ(loadWith(offset_at, 1u << 20, 4), CUDA_ERROR_INVALID_IMAGE);
+    EXPECT_EQ(loadWith(offset_at, 0xfffffffcu, 4),
+              CUDA_ERROR_INVALID_IMAGE);
+    // An unknown ParamKind has no size at all.
+    EXPECT_EQ(loadWith(kind_at, 7, 1), CUDA_ERROR_INVALID_IMAGE);
 }
 
 } // namespace

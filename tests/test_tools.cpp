@@ -56,6 +56,7 @@ struct StrideApp {
     uint32_t n = 256;
     uint32_t stride = 1;
     sim::LaunchStats stats;
+    CUfunction fn = nullptr;
 
     void
     operator()() const
@@ -78,6 +79,7 @@ struct StrideApp {
                                nullptr, params, nullptr),
                 "launch");
         const_cast<StrideApp *>(this)->stats = lastLaunchStats();
+        const_cast<StrideApp *>(this)->fn = fn;
     }
 };
 
@@ -112,6 +114,61 @@ TEST_F(ToolsTest, InstrCountMatchesOracleOnDivergentKernel)
     });
     EXPECT_EQ(threads, native.thread_instrs);
     EXPECT_EQ(warps, native.warp_instrs);
+}
+
+/** Exposes which functions the tool still counts as instrumented. */
+class SeenProbeTool : public InstrCountTool
+{
+  public:
+    using InstrCountTool::alreadyInstrumented;
+};
+
+TEST_F(ToolsTest, InstrCountToolReusedAcrossRunsCountsEveryRun)
+{
+    // One tool object over two runApp rounds.  resetDriver frees round
+    // 1's kernel without callbacks, so round 2's kernel can reuse its
+    // CUfunc_st address; it must still be instrumented.  Whether the
+    // allocator reuses the address is not up to the test, so it also
+    // checks that the dead function is forgotten by the time the
+    // driver is initialised again.
+    StrideApp app;
+    SeenProbeTool tool;
+    uint64_t counts[2] = {0, 0};
+    CUfunction round1 = nullptr;
+    for (uint64_t &c : counts)
+        runApp(tool, [&] {
+            checkCu(cuInit(0), "init");
+            if (round1 != nullptr) {
+                EXPECT_FALSE(tool.alreadyInstrumented(round1));
+            }
+            app();
+            EXPECT_TRUE(tool.alreadyInstrumented(app.fn));
+            c = tool.threadInstrs();
+            round1 = app.fn;
+        });
+    EXPECT_GT(counts[0], 0u);
+    EXPECT_EQ(counts[1], counts[0]);
+}
+
+TEST_F(ToolsTest, ToolForgetsFunctionsOfUnloadedModulesAndDestroyedContexts)
+{
+    StrideApp app;
+    SeenProbeTool tool;
+    runApp(tool, [&] {
+        app();
+        CUfunction fn = app.fn;
+        ASSERT_TRUE(tool.alreadyInstrumented(fn));
+        checkCu(cuModuleUnload(fn->mod), "unload");
+        EXPECT_FALSE(tool.alreadyInstrumented(fn));
+
+        app();
+        fn = app.fn;
+        ASSERT_TRUE(tool.alreadyInstrumented(fn));
+        CUcontext ctx = nullptr;
+        checkCu(cuCtxGetCurrent(&ctx), "current");
+        checkCu(cuCtxDestroy(ctx), "destroy");
+        EXPECT_FALSE(tool.alreadyInstrumented(fn));
+    });
 }
 
 TEST_F(ToolsTest, MemDivergenceCoalescedIsFourSectorsPerAccess)
