@@ -7,14 +7,19 @@
  * raw simulator execution throughput.
  *
  * Besides the google-benchmark suite, main() runs a direct comparison
- * of the four execution-engine configurations ({serial, parallel} x
- * {byte-decode, predecode}) and writes the timings plus decode-cache
- * hit/miss counts to BENCH_micro_core.json.
+ * of the execution-engine configurations ({serial, parallel} x
+ * {byte-decode, predecode}, sampled, traced) and writes the timings,
+ * decode-cache hit/miss counts and a host fingerprint to
+ * BENCH_micro_core.json.
  */
 #include <benchmark/benchmark.h>
+#include <sched.h>
 
 #include <cstdio>
+#include <fstream>
+#include <string>
 
+#include "bench_json.hpp"
 #include "common/timer.hpp"
 #include "driver/api.hpp"
 #include "driver/internal.hpp"
@@ -293,6 +298,30 @@ runEngine(const char *name, sim::ExecMode mode, bool predecode,
     return r;
 }
 
+/**
+ * The host as a JSON object: online CPUs, CPU model and build type.
+ * Absolute warp-MIPS rows compare only between runs that share it.
+ */
+std::string
+hostFingerprint()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    const int nproc =
+        sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 1;
+    std::string cpu = "unknown";
+    std::ifstream info("/proc/cpuinfo");
+    for (std::string line; std::getline(info, line);) {
+        if (line.rfind("model name", 0) == 0) {
+            cpu = line.substr(line.find(':') + 2);
+            break;
+        }
+    }
+    return "{\"nproc\": " + std::to_string(nproc) + ", \"cpu\": " +
+           bench::jStr(cpu) + ", \"build\": " +
+           bench::jStr(MICRO_CORE_BUILD_TYPE) + "}";
+}
+
 void
 emitEngineComparison()
 {
@@ -343,7 +372,8 @@ emitEngineComparison()
         std::fprintf(stderr, "cannot write %s\n", path);
         return;
     }
-    std::fprintf(f, "{\n  \"engine_comparison\": [\n");
+    std::fprintf(f, "{\n  \"host\": %s,\n  \"engine_comparison\": [\n",
+                 hostFingerprint().c_str());
     size_t n = sizeof(results) / sizeof(results[0]);
     for (size_t i = 0; i < n; ++i) {
         const auto &r = results[i];

@@ -15,6 +15,13 @@
 # check) or the baseline is stale; either way a human should look and,
 # if the speedup is real, refresh the baseline deliberately.
 #
+# Absolute MIPS only mean something on the machine that recorded them,
+# so the row diff applies only when the fresh run's host fingerprint
+# (nproc, CPU model, build type) equals the baseline's; otherwise it is
+# reported as skipped.  A within-run ratio gate applies on every host:
+# serial_traced must beat serial_predecode on the throughput kernel by
+# at least 3x (trace_speedup, the trace engine's acceptance ratio).
+#
 # The multi-tenant driver-service path is gated the same way:
 # BENCH_mt_driver's aggregate launches/sec is diffed against
 # bench/baselines/BENCH_mt_driver.baseline.json.  Its bounds are wider
@@ -62,6 +69,7 @@ baseline=bench/baselines/BENCH_micro_core.baseline.json
 fresh=BENCH_micro_core.json
 threshold=0.75 # fresh/baseline warp-MIPS ratio below this fails
 upper=1.25     # ...and above this fails too (unexpected improvement)
+min_trace_speedup=3.0 # within-run ratio, gated on every host
 
 mt_baseline=bench/baselines/BENCH_mt_driver.baseline.json
 mt_fresh=BENCH_mt_driver.json
@@ -141,16 +149,34 @@ if [[ ! -s "$sp_baseline" ]]; then
     exit 1
 fi
 
-python3 - "$baseline" "$fresh" "$threshold" "$upper" <<'EOF'
+python3 - "$baseline" "$fresh" "$threshold" "$upper" \
+    "$min_trace_speedup" <<'EOF'
 import json
 import sys
 
 baseline_path, fresh_path = sys.argv[1], sys.argv[2]
 threshold, upper = float(sys.argv[3]), float(sys.argv[4])
+min_trace_speedup = float(sys.argv[5])
 with open(baseline_path) as f:
     base = json.load(f)
 with open(fresh_path) as f:
     fresh = json.load(f)
+
+# Host-independent: a ratio of two rows of the same run.
+speedup = fresh["trace_speedup"]
+print(f"  trace_speedup {speedup:6.2f}x (min {min_trace_speedup}x) "
+      f"{'OK' if speedup >= min_trace_speedup else 'REGRESSION'}")
+if speedup < min_trace_speedup:
+    print(f"bench_guard: the trace engine is less than "
+          f"{min_trace_speedup}x faster than serial_predecode on the "
+          f"throughput kernel", file=sys.stderr)
+    sys.exit(1)
+
+if base.get("host") != fresh.get("host"):
+    print(f"  host {fresh.get('host')} differs from the baseline's "
+          f"{base.get('host')}: absolute MIPS diff skipped")
+    print("bench_guard: hot path within budget (ratio gate only)")
+    sys.exit(0)
 
 def rows(doc):
     return {(r["engine"], r["kernel"]): r for r in doc["engine_comparison"]}

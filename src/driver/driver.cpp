@@ -1532,6 +1532,14 @@ cuLaunchKernel(CUfunction fn, unsigned grid_x, unsigned grid_y,
     const bool legacy = stream == nullptr;
     if (!legacy && (!ctx || !svc.streamBelongsTo(stream, ctx)))
         return scope.status() = CUDA_ERROR_INVALID_HANDLE;
+    // Shared and local sizes come from the image: widened sums, so a
+    // huge static size cannot wrap past the device limits.
+    const uint64_t smem = uint64_t{fn->shared_bytes} + shared_bytes;
+    const uint64_t local =
+        uint64_t{fn->launch_stack_bytes} + kLaunchStackMargin;
+    if (smem > detail::gpuSlot(slotIndexFor(ctx)).gpu->config().smem_per_sm ||
+        local > kMaxLocalBytesPerThread)
+        return scope.status() = CUDA_ERROR_INVALID_VALUE;
 
     sim::LaunchParams lp;
     lp.entry_pc = fn->code_addr;
@@ -1543,8 +1551,8 @@ cuLaunchKernel(CUfunction fn, unsigned grid_x, unsigned grid_y,
     lp.block[1] = block_y;
     lp.block[2] = block_z;
     lp.num_regs = fn->launch_num_regs;
-    lp.local_bytes = fn->launch_stack_bytes + kLaunchStackMargin;
-    lp.shared_bytes = fn->shared_bytes + shared_bytes;
+    lp.local_bytes = static_cast<uint32_t>(local);
+    lp.shared_bytes = static_cast<uint32_t>(smem);
     lp.bank1 = fn->mod->bank1;
     {
         std::lock_guard<std::mutex> lk(s.mu);

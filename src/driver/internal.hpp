@@ -180,6 +180,9 @@ sim::LaunchStats contextTotalStats(CUcontext ctx);
 /** Stack-margin bytes added to every launch's local allocation. */
 constexpr uint32_t kLaunchStackMargin = 512;
 
+/** Per-thread local-memory limit of a launch (CUDA's 512 KiB). */
+constexpr uint64_t kMaxLocalBytesPerThread = 512 * 1024;
+
 /**
  * Mutable view of a context's exception record, used by the NVBit
  * core to fill in fault attribution (origin, app_pc) on launch exit.

@@ -1,8 +1,10 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <tuple>
 
 #include "common/timer.hpp"
 #include "obs/lifecycle.hpp"
@@ -229,10 +231,26 @@ Tracer::encode(const Event &ev)
 std::string
 Tracer::jsonLocked() const
 {
+    // Metadata records first, in (pid, tid, name) order: which thread
+    // names its track first depends on thread timing, and the document
+    // should not.  The other events follow in push order.
+    std::vector<const Event *> order;
+    order.reserve(events_.size());
+    for (const Event &ev : events_)
+        if (ev.ph == 'M')
+            order.push_back(&ev);
+    std::sort(order.begin(), order.end(), [](const Event *a, const Event *b) {
+        return std::tie(a->pid, a->tid, a->name) <
+               std::tie(b->pid, b->tid, b->name);
+    });
+    for (const Event &ev : events_)
+        if (ev.ph != 'M')
+            order.push_back(&ev);
+
     std::string out = "{\"traceEvents\": [";
-    for (size_t i = 0; i < events_.size(); ++i) {
+    for (size_t i = 0; i < order.size(); ++i) {
         out += i ? ",\n" : "\n";
-        out += encode(events_[i]);
+        out += encode(*order[i]);
     }
     out += "\n]}\n";
     return out;

@@ -151,7 +151,8 @@ class Tracer
                    std::string_view cat, uint64_t ts_us, uint64_t id,
                    std::vector<TraceArg> args);
     void emitProcessNames();
-    /** events_ as one complete JSON document (mu_ held). */
+    /** events_ as one complete JSON document, metadata records first
+     *  in (pid, tid, name) order (mu_ held). */
     std::string jsonLocked() const;
     static std::string encode(const Event &ev);
 

@@ -117,7 +117,8 @@ struct GpuConfig {
     bool use_predecode = true;
     /**
      * Execute hot straight-line superblocks through the trace engine
-     * (trace_compiler/trace_cache) instead of per-instruction dispatch.
+     * (traces compiled into the code cache's pages) instead of
+     * per-instruction dispatch.
      * Bit-identical to the per-instruction engines on uninstrumented
      * code; orthogonal to both exec_mode and use_predecode.
      * Env override: NVBIT_SIM_TRACES=0|1.

@@ -116,13 +116,11 @@ GpuDevice::GpuDevice(const GpuConfig &cfg)
         memory_->attachShadow(shadow_.get());
     }
     code_cache_ = std::make_unique<CodeCache>(*memory_, cfg_.family);
-    trace_cache_ = std::make_unique<TraceCache>(*memory_, cfg_.family);
     pool_ = std::make_unique<ThreadPool>();
     // Host-side writes (module loads, trampoline patches, cuMemcpy)
-    // invalidate any stale predecoded pages and traces they overlap.
+    // retire the code pages they overlap, traces included.
     memory_->setWriteObserver([this](mem::DevPtr addr, size_t bytes) {
         code_cache_->invalidateRange(addr, bytes);
-        trace_cache_->invalidateRange(addr, bytes);
     });
 }
 
@@ -137,26 +135,24 @@ GpuDevice::invalidateCaches()
 {
     caches_.invalidateAll();
     code_cache_->invalidateAll();
-    trace_cache_->invalidateAll();
 }
 
 void
 GpuDevice::invalidateCodeRange(mem::DevPtr addr, size_t bytes)
 {
     code_cache_->invalidateRange(addr, bytes);
-    trace_cache_->invalidateRange(addr, bytes);
 }
 
 void
 GpuDevice::registerInlineProbe(const InlineProbe &p)
 {
-    trace_cache_->registerProbe(p);
+    code_cache_->registerProbe(p);
 }
 
 void
 GpuDevice::clearInlineProbes(mem::DevPtr addr, size_t bytes)
 {
-    trace_cache_->clearProbesInRange(addr, bytes);
+    code_cache_->clearProbesInRange(addr, bytes);
 }
 
 void
@@ -186,7 +182,6 @@ GpuDevice::launch(const LaunchParams &lp)
     // No execution threads exist between launches: safe to reclaim
     // pages invalidated since the previous launch.
     code_cache_->collectRetired();
-    trace_cache_->collectRetired();
 
     // Cold-launch mode: start from flushed data caches so this
     // launch's cache stream does not depend on prior launches (the
@@ -366,14 +361,12 @@ std::vector<std::unique_ptr<SmExecutor>>
 GpuDevice::makeExecutors()
 {
     const unsigned nsm = cfg_.num_sms;
-    CodeCache *cc = cfg_.use_predecode ? code_cache_.get() : nullptr;
-    TraceCache *tc = cfg_.use_traces ? trace_cache_.get() : nullptr;
     const bool functional = fidelity_ == Fidelity::Functional;
     std::vector<std::unique_ptr<SmExecutor>> execs;
     execs.reserve(nsm);
     for (unsigned sm = 0; sm < nsm; ++sm)
         execs.push_back(std::make_unique<SmExecutor>(
-            sm, cfg_, *memory_, caches_, cc, tc, functional));
+            sm, cfg_, *memory_, caches_, *code_cache_, functional));
     return execs;
 }
 
@@ -402,7 +395,6 @@ GpuDevice::restore(const GpuState &st)
     // Derived state rebuilds on demand; only the Volatile decode-cache
     // counters observe the difference.
     code_cache_->invalidateAll();
-    trace_cache_->invalidateAll();
 }
 
 void
@@ -425,7 +417,6 @@ GpuDevice::resumeLaunch(const GpuState &st)
     restore(st);
     // No execution threads are live: reclaim what restore() retired.
     code_cache_->collectRetired();
-    trace_cache_->collectRetired();
 
     const LaunchParams &lp = st.lp;
     // NOTE: no cold-launch flush here — the cache state at the capture

@@ -46,7 +46,6 @@
 #include "sim/launch.hpp"
 #include "sim/predecode.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace_cache.hpp"
 
 namespace nvbit::sim {
 
@@ -99,25 +98,24 @@ class GpuDevice
     /** Running total of all launches since construction. */
     const LaunchStats &totals() const { return totals_; }
 
-    /** Flush the data caches AND the predecoded-code cache. */
+    /** Flush the data caches AND the code cache. */
     void invalidateCaches();
 
     /**
-     * Drop predecoded state for [addr, addr+bytes).  Host writes
-     * through DeviceMemory fire this automatically; NVBit's patching
-     * paths also call it explicitly (cache-invalidation protocol).
+     * Retire code pages (decoded entries and traces) overlapping
+     * [addr, addr+bytes).  Host writes through DeviceMemory fire this
+     * automatically; NVBit's patching paths also call it explicitly
+     * (cache-invalidation protocol).
      */
     void invalidateCodeRange(mem::DevPtr addr, size_t bytes);
 
     /** Eagerly predecode [addr, addr+bytes) (e.g. at module load). */
     void predecodeRange(mem::DevPtr addr, size_t bytes);
 
-    /** The shared predecode cache (stats/inspection). */
+    /** The shared code cache: decoded pages and their traces
+     *  (stats/inspection).  Always present — probes can be registered
+     *  before the trace engine is switched on. */
     const CodeCache &codeCache() const { return *code_cache_; }
-
-    /** The shared trace cache (stats/inspection).  Always present —
-     *  probes can be registered before the engine is switched on. */
-    const TraceCache &traceCache() const { return *trace_cache_; }
 
     /**
      * Register an inlinable instrumentation callsite (called by the
@@ -195,7 +193,6 @@ class GpuDevice
     std::unique_ptr<mem::ShadowMemory> shadow_;
     CacheHierarchy caches_;
     std::unique_ptr<CodeCache> code_cache_;
-    std::unique_ptr<TraceCache> trace_cache_;
     std::unique_ptr<ThreadPool> pool_;
     LaunchStats totals_;
     Fidelity fidelity_ = Fidelity::Full;

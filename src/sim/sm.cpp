@@ -12,72 +12,57 @@ namespace nvbit::sim {
 
 SmExecutor::SmExecutor(unsigned sm, const GpuConfig &cfg,
                        mem::DeviceMemory &mem, CacheHierarchy &caches,
-                       CodeCache *code_cache, TraceCache *trace_cache,
-                       bool functional)
+                       CodeCache &code_cache, bool functional)
     : sm_(sm), cfg_(cfg), mem_(mem), caches_(caches),
-      code_cache_(code_cache), trace_cache_(trace_cache),
-      ib_(isa::instrBytes(cfg.family)),
+      code_cache_(code_cache), ib_(isa::instrBytes(cfg.family)),
       ib_shift_(std::countr_zero(ib_)),
       functional_(functional),
       sample_period_(functional ? 0 : cfg.pc_sample_period),
       next_sample_(functional ? 0 : cfg.pc_sample_period)
 {}
 
-const isa::Instruction *
-SmExecutor::byteDecode(uint64_t pc, isa::Instruction &scratch)
+namespace {
+
+/** Throw the fetch trap for a slot that did not decode as Valid. */
+[[noreturn]] void
+throwFetchTrap(PredecodeStatus st, uint64_t pc)
 {
-    try {
-        auto bytes = mem_.view(pc, ib_);
-        if (!isa::decode(cfg_.family, bytes.data(), scratch))
-            throw DeviceException(TrapCode::IllegalInstruction,
-                                  "illegal instruction encoding", pc);
-    } catch (const mem::DeviceMemory::MemFault &) {
-        throw DeviceException(TrapCode::InvalidPc,
-                              "instruction fetch from unmapped memory",
-                              pc);
-    }
-    return &scratch;
+    if (st == PredecodeStatus::Illegal)
+        throw DeviceException(TrapCode::IllegalInstruction,
+                              "illegal instruction encoding", pc);
+    throw DeviceException(TrapCode::InvalidPc,
+                          "instruction fetch from unmapped memory", pc);
 }
+
+} // namespace
 
 const isa::Instruction *
 SmExecutor::fetch(uint64_t pc, isa::Instruction &scratch)
 {
-    if (!code_cache_) {
+    if (!cfg_.use_predecode || (pc & (ib_ - 1)) != 0) {
+        // Byte-decode mode, or a misaligned PC (e.g. a BRX through a
+        // garbage register) whose page index would be wrong.
         ++shard_.decode_cache_misses;
-        return byteDecode(pc, scratch);
-    }
-    if ((pc & (ib_ - 1)) != 0) {
-        // Misaligned PC (e.g. a BRX through a garbage register): the
-        // page index would be wrong, so fall back to byte decoding.
-        ++shard_.decode_cache_misses;
-        return byteDecode(pc, scratch);
+        const PredecodeStatus st = decodeAt(mem_, cfg_.family, pc, scratch);
+        if (st != PredecodeStatus::Valid)
+            throwFetchTrap(st, pc);
+        return &scratch;
     }
     const PredecodedImage *page = cached_page_;
-    if (!page || pc < page->base ||
-        pc >= page->base + CodeCache::kPageBytes) {
+    if (!page || pc - page->base >= CodeCache::kPageBytes) {
         ++shard_.decode_cache_misses;
-        page = code_cache_->acquire(pc);
+        page = code_cache_.acquire(pc);
         cached_page_ = page;
         if (!page)
-            throw DeviceException(TrapCode::InvalidPc,
-                                  "instruction fetch from unmapped memory",
-                                  pc);
+            throwFetchTrap(PredecodeStatus::Unmapped, pc);
     } else {
         ++shard_.decode_cache_hits;
     }
     const PredecodedEntry &e =
         page->entries[(pc - page->base) >> ib_shift_];
-    switch (e.status) {
-      case PredecodeStatus::Valid:
-        return &e.in;
-      case PredecodeStatus::Illegal:
-        throw DeviceException(TrapCode::IllegalInstruction,
-                              "illegal instruction encoding", pc);
-      case PredecodeStatus::Unmapped:
-        break;
-    }
-    throw DeviceException(TrapCode::InvalidPc,
-                          "instruction fetch from unmapped memory", pc);
+    if (e.status != PredecodeStatus::Valid)
+        throwFetchTrap(e.status, pc);
+    return &e.in;
 }
 
 void
@@ -303,17 +288,6 @@ SmExecutor::stepWarp(WarpScheduler &sched, Interpreter &interp, unsigned w,
         noteWarpReadiness(w, true);
         break;
     }
-    // Trace engine: under the convergence guard, replay a compiled
-    // superblock instead of dispatching one instruction.  Requires
-    // budget for at least two slots so traces always pay for
-    // themselves; traps are annotated inside runTrace.
-    if (trace_cache_ && slot.converged && budget > 1) {
-        if (const Trace *tr = lookupTrace(slot.pc)) {
-            consumed = runTrace(sched, interp, w, *tr, slot.active_mask,
-                                budget);
-            return StepResult::Progress;
-        }
-    }
     const uint64_t minpc = slot.pc;
     const uint32_t active_mask = slot.active_mask;
     ThreadCtx *warp = sched.warp(w);
@@ -323,6 +297,18 @@ SmExecutor::stepWarp(WarpScheduler &sched, Interpreter &interp, unsigned w,
     try {
         isa::Instruction scratch;
         const isa::Instruction *in = fetch(minpc, scratch);
+
+        // Trace engine: under the convergence guard, replay the
+        // superblock compiled on the page just fetched from instead of
+        // dispatching one instruction.  Requires budget for at least
+        // two slots so traces always pay for themselves.
+        if (cfg_.use_traces && slot.converged && budget > 1) {
+            if (const Trace *tr = traceAt(minpc)) {
+                consumed = runTrace(sched, interp, w, *tr, active_mask,
+                                    budget, exec_mask);
+                return StepResult::Progress;
+            }
+        }
 
         // Evaluate guard predicates.
         for (unsigned l = 0; l < kWarpSize; ++l) {

@@ -3,10 +3,10 @@
  * SM layer: one executor per streaming multiprocessor.
  *
  * An SmExecutor owns everything one SM touches during a launch — its
- * stats shard, its private L1 stream, its cached predecoded page and
- * its deferred-L2 access log — so the parallel path has no shared
- * mutable counters in the hot loop.  Determinism vs. the serial path
- * is preserved by three rules:
+ * stats shard, its private L1 stream, its cached code page (fetches
+ * and trace lookups both go through it) and its deferred-L2 access
+ * log — so the parallel path has no shared mutable counters in the hot
+ * loop.  Determinism vs. the serial path is preserved by three rules:
  *
  *  1. CTA → SM assignment is `cta_index % num_sms` in both modes, and
  *     each SM runs its CTAs in increasing global index, so every SM
@@ -41,7 +41,6 @@
 #include "sim/launch.hpp"
 #include "sim/predecode.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace_cache.hpp"
 #include "sim/warp_scheduler.hpp"
 
 namespace nvbit::sim {
@@ -133,8 +132,8 @@ class SmExecutor : public MemModel
      * counts match a full-fidelity run exactly.
      */
     SmExecutor(unsigned sm, const GpuConfig &cfg, mem::DeviceMemory &mem,
-               CacheHierarchy &caches, CodeCache *code_cache,
-               TraceCache *trace_cache = nullptr, bool functional = false);
+               CacheHierarchy &caches, CodeCache &code_cache,
+               bool functional = false);
 
     /**
      * Run one thread block to completion (serial orchestration).
@@ -283,20 +282,23 @@ class SmExecutor : public MemModel
                         unsigned w, unsigned budget, unsigned &consumed);
 
     /**
-     * Replay one compiled trace for warp @p w (trace_exec.cpp).
-     * Entered only under the convergence guard (active set == every
-     * live thread) with @p budget > 1.  @return issue slots consumed.
+     * Replay one compiled trace for warp @p w (trace_exec.cpp), whose
+     * head stepWarp has fetched.  Entered only under the convergence
+     * guard (active set == every live thread) with @p budget > 1.
+     * @p exec_mask tracks the executing lanes for stepWarp's trap
+     * annotation.  @return issue slots consumed.
      */
     unsigned runTrace(WarpScheduler &sched, Interpreter &interp,
                       unsigned w, const Trace &tr, uint32_t active_mask,
-                      unsigned budget);
+                      unsigned budget, uint32_t &exec_mask);
 
-    /** Memoised TraceCache::acquire (invalidated by generation()). */
-    const Trace *lookupTrace(uint64_t pc);
+    /** The trace entered at the just-fetched @p pc, on the page the
+     *  fetch read (nullptr if none). */
+    const Trace *traceAt(uint64_t pc);
 
+    /** The instruction at @p pc, from cached_page_ or byte-decoded;
+     *  throws the fetch trap on an illegal or unmapped slot. */
     const isa::Instruction *fetch(uint64_t pc, isa::Instruction &scratch);
-    const isa::Instruction *byteDecode(uint64_t pc,
-                                       isa::Instruction &scratch);
 
     /**
      * Charge @p n cycles of kind @p r to the running CTA.  This is the
@@ -342,8 +344,7 @@ class SmExecutor : public MemModel
     const GpuConfig &cfg_;
     mem::DeviceMemory &mem_;
     CacheHierarchy &caches_;
-    CodeCache *code_cache_; ///< nullptr in byte-decode mode
-    TraceCache *trace_cache_; ///< nullptr when the trace engine is off
+    CodeCache &code_cache_;
     size_t ib_;
     unsigned ib_shift_; ///< log2(ib_): page index by shift, not div
     /** Functional fast-forward: skip events/caches/sampling (see ctor). */
@@ -384,12 +385,11 @@ class SmExecutor : public MemModel
     std::vector<uint8_t> warp_eligible_;
     unsigned eligible_warps_ = 0;
 
-    /** Fast path: the page the last fetch came from. */
+    /** Fast path: the page the last predecode fetch came from.  Trace
+     *  lookups read the same page, so traced and untraced execution
+     *  see the same code even after a host write retires that page
+     *  mid-launch. */
     const PredecodedImage *cached_page_ = nullptr;
-
-    /** Trace-lookup memo, valid for generation trace_gen_. */
-    uint64_t trace_gen_ = UINT64_MAX;
-    std::unordered_map<uint64_t, const Trace *> trace_memo_;
 
     /** Current CTA context (valid while runCta is on the stack). */
     const CtaWork *cur_cta_ = nullptr;

@@ -2,12 +2,19 @@
 
 #include <algorithm>
 
+#include "sim/predecode.hpp"
+
 namespace nvbit::sim {
 
 using isa::Instruction;
 using isa::Opcode;
 
 namespace {
+
+/** Upper bound on instructions per trace. */
+constexpr unsigned kMaxTraceInstrs = 256;
+/** Minimum eligible-op run length worth strip formation. */
+constexpr unsigned kMinStripRun = 4;
 
 /** Ends the superblock after executing (state/PC can change). */
 bool
@@ -26,37 +33,45 @@ struct RawInstr {
     AluShape shape;
 };
 
+/**
+ * The probe registered at @p pc, or null.  Staleness guard: the
+ * callsite must still be the JMP that targets the probe's trampoline
+ * (code swaps restore the original bytes without unregistering).
+ */
+const InlineProbe *
+probeAt(const std::map<uint64_t, InlineProbe> &probes, uint64_t pc,
+        const Instruction &in)
+{
+    auto it = probes.find(pc);
+    if (it == probes.end() ||
+        static_cast<uint64_t>(in.imm) * isa::kJmpScale !=
+            it->second.tramp_target)
+        return nullptr;
+    return &it->second;
+}
+
 } // namespace
 
-TraceCompiler::TraceCompiler(const mem::DeviceMemory &mem,
-                             isa::ArchFamily fam)
-    : mem_(mem), fam_(fam), ib_(isa::instrBytes(fam))
-{}
-
 std::unique_ptr<Trace>
-TraceCompiler::compile(uint64_t pc, const ProbeLookup &probe_at) const
+compileTrace(const PredecodedImage &page, uint64_t pc,
+             const std::map<uint64_t, InlineProbe> &probes)
 {
-    if ((pc & (ib_ - 1)) != 0)
-        return nullptr; // misaligned: per-instruction path only
-    const uint64_t page_end =
-        (pc & ~static_cast<uint64_t>(kPageBytes - 1)) + kPageBytes;
+    const size_t n_entries = page.entries.size();
+    const uint64_t ib = CodeCache::kPageBytes / n_entries; // entry width
 
-    // --- Pass 1: decode the superblock -------------------------------
+    // --- Pass 1: collect the superblock from the page ----------------
     std::vector<RawInstr> raw;
     bool has_probe = false;
-    for (uint64_t p = pc; p < page_end && raw.size() < kMaxInstrs;
-         p += ib_) {
+    for (size_t k = (pc - page.base) / ib;
+         k < n_entries && raw.size() < kMaxTraceInstrs; ++k) {
+        const PredecodedEntry &pe = page.entries[k];
+        if (pe.status != PredecodeStatus::Valid)
+            break; // illegal/unmapped: side-exit, trap untraced
         RawInstr r;
-        r.pc = p;
-        try {
-            auto bytes = mem_.view(p, ib_);
-            if (!isa::decode(fam_, bytes.data(), r.in))
-                break; // illegal encoding: side-exit, trap untraced
-        } catch (const mem::DeviceMemory::MemFault &) {
-            break; // unmapped: side-exit
-        }
+        r.pc = page.base + k * ib;
+        r.in = pe.in;
         if (r.in.op == Opcode::JMP && r.in.alwaysExecutes()) {
-            if (const InlineProbe *pr = probe_at(p, r.in)) {
+            if (const InlineProbe *pr = probeAt(probes, r.pc, r.in)) {
                 // A barrier parks threads at their post-advance pc.
                 // Inlined, that is the callsite; through the
                 // trampoline, it is inside the trampoline — and warps

@@ -28,23 +28,23 @@
  *    executed directly by the SM instead of interpreting the whole
  *    save/marshal/call/restore trampoline (paper Figures 5/8).
  *
- * Traces never span a code page (invalidation stays page-grained,
- * mirroring CodeCache) and contain no instruction that can change a
- * thread's PC or state except as their final entry, so the entry
- * guard "every live lane is Ready and converged at the entry pc"
- * holds for the whole trace.
+ * The compiler reads a CodeCache page's predecoded entries, never
+ * device memory, and its traces live in that page (sim/predecode.hpp):
+ * a trace never spans a page, so invalidating the page's bytes retires
+ * its decoded entries and its traces together.  A trace contains no
+ * instruction that can change a thread's PC or state except as its
+ * final entry, so the entry guard "every live lane is Ready and
+ * converged at the entry pc" holds for the whole trace.
  */
 #ifndef NVBIT_SIM_TRACE_COMPILER_HPP
 #define NVBIT_SIM_TRACE_COMPILER_HPP
 
 #include <cstdint>
-#include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
-#include "isa/arch.hpp"
 #include "isa/instruction.hpp"
-#include "mem/device_memory.hpp"
 #include "sim/alu.hpp"
 
 namespace nvbit::sim {
@@ -142,41 +142,20 @@ struct Trace {
     std::vector<InlineProbe> probes;
 };
 
+struct PredecodedImage;
+
 /**
- * Compiles superblocks from device memory.  Stateless apart from its
- * references; thread-safe (TraceCache serialises builds anyway).
+ * Compile the superblock entered at the aligned @p pc of @p page from
+ * the page's predecoded entries.  @p probes is the inline-probe
+ * registry keyed by callsite pc; a probe is inlined only while its
+ * callsite still holds the JMP to its trampoline.  @return nullptr when
+ * no worthwhile trace starts there (an illegal or unmapped entry, an
+ * immediate terminator, or fewer than two instructions with no probe
+ * to inline).
  */
-class TraceCompiler
-{
-  public:
-    /** Traces never cross a page: invalidation stays page-grained. */
-    static constexpr size_t kPageBytes = 4096;
-    /** Upper bound on instructions per trace. */
-    static constexpr unsigned kMaxInstrs = 256;
-    /** Minimum eligible-op run length worth strip formation. */
-    static constexpr unsigned kMinStripRun = 4;
-
-    /** Looks up a *valid* inline probe at a pc; null when absent. */
-    using ProbeLookup =
-        std::function<const InlineProbe *(uint64_t pc,
-                                          const isa::Instruction &in)>;
-
-    TraceCompiler(const mem::DeviceMemory &mem, isa::ArchFamily fam);
-
-    /**
-     * Compile the superblock starting at @p pc.  @return nullptr when
-     * no worthwhile trace starts there (unmapped/misaligned pc,
-     * immediate terminator, or fewer than two instructions with no
-     * probe to inline).
-     */
-    std::unique_ptr<Trace> compile(uint64_t pc,
-                                   const ProbeLookup &probe_at) const;
-
-  private:
-    const mem::DeviceMemory &mem_;
-    isa::ArchFamily fam_;
-    size_t ib_;
-};
+std::unique_ptr<Trace>
+compileTrace(const PredecodedImage &page, uint64_t pc,
+             const std::map<uint64_t, InlineProbe> &probes);
 
 } // namespace nvbit::sim
 

@@ -111,22 +111,22 @@ execStripOps(const StripOp *o, const StripOp *end, WarpRegFile &rf,
 } // namespace
 
 const Trace *
-SmExecutor::lookupTrace(uint64_t pc)
+SmExecutor::traceAt(uint64_t pc)
 {
-    const uint64_t gen = trace_cache_->generation();
-    if (gen != trace_gen_) {
-        trace_memo_.clear();
-        trace_gen_ = gen;
-    }
-    auto [it, fresh] = trace_memo_.try_emplace(pc, nullptr);
-    if (fresh)
-        it->second = trace_cache_->acquire(pc);
-    return it->second;
+    if ((pc & (ib_ - 1)) != 0)
+        return nullptr; // misaligned: per-instruction path only
+    // A predecode fetch of pc has just made cached_page_ its page.  A
+    // byte-decode fetch read the current bytes, so take the current
+    // page too: a host write mid-launch then reaches both paths.
+    const PredecodedImage *page =
+        cfg_.use_predecode ? cached_page_ : code_cache_.acquire(pc);
+    return page ? code_cache_.trace(*page, pc) : nullptr;
 }
 
 unsigned
 SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
-                     const Trace &tr, uint32_t active_mask, unsigned budget)
+                     const Trace &tr, uint32_t active_mask, unsigned budget,
+                     uint32_t &exec_mask)
 {
     ThreadCtx *warp = sched.warp(w);
     WarpRegFile &rf = sched.regs(w);
@@ -136,7 +136,6 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
     uint64_t last_pc = tr.entry_pc;
     uint8_t last_dst = sched.lastDst(w);
     bool first_slot = true;
-    uint32_t exec_mask = active_mask; // for trap annotation
     using obs::HwEvent;
     obs::EventSet &ev = shard_.events;
 
@@ -206,195 +205,167 @@ SmExecutor::runTrace(WarpScheduler &sched, Interpreter &interp, unsigned w,
         return consumed;
     };
 
-    try {
-        // Head fetch through the regular path: decode-counter and
-        // cached-page behaviour identical to the baseline's first
-        // fetch of the superblock.
-        isa::Instruction scratch;
-        (void)fetch(tr.entry_pc, scratch);
-        bool head = true;
-        // Later slots fetch from the same (page-bounded) trace: a hit
-        // per slot in predecode mode, a byte-decode miss otherwise.
-        auto fetchTick = [&]() {
-            if (head) {
-                head = false;
-                return;
-            }
-            if (code_cache_)
-                ++shard_.decode_cache_hits;
-            else
-                ++shard_.decode_cache_misses;
-        };
-
-        for (const TraceEntry &e : tr.entries) {
-            switch (e.kind) {
-              case TraceEntryKind::Op:
-              case TraceEntryKind::OpTerminal: {
-                if (consumed >= budget)
-                    return exitHere();
-                const bool terminal =
-                    e.kind == TraceEntryKind::OpTerminal;
-                const uint32_t exec = guardMask(e.in);
-                exec_mask = exec;
-                const uint64_t next_pc = e.pc + ib_;
-                if (terminal)
-                    sched.advance(w, active_mask, next_pc);
-                fetchTick();
-                issueSlot(e.in.op, e.pc, exec, takeRaw(e.raw_stall));
-                cur_pc_ = e.pc;
-                cur_warp_ = w;
-                interp.execute(e.in, warp, rf, active_mask, exec, e.pc,
-                               next_pc);
-                if (e.is_cf)
-                    chargeCycles(1, obs::StallReason::BranchResolve,
-                                 e.pc, w);
-                last_dst = e.in.writesGpr() ? e.in.rd : isa::kRegZ;
-                last_pc = e.pc;
-                if (terminal) {
-                    sched.setLastDst(w, last_dst);
-                    return consumed;
-                }
-                break;
-              }
-
-              case TraceEntryKind::Strip: {
-                const StripRun &run = tr.strips[e.idx];
-                if (consumed >= budget)
-                    return exitHere();
-                const size_t nops =
-                    std::min<size_t>(run.ops.size(), budget - consumed);
-                // Accounting pass first, in program order (charges,
-                // samples and watchdog checks interleave exactly as
-                // per-instruction execution would).  Register effects
-                // of ops "before" a watchdog throw are unobservable —
-                // the CTA is abandoned and strip ops touch no memory —
-                // so the lane work runs afterwards in one threaded
-                // dispatch pass.
-                exec_mask = active_mask;
-                cur_warp_ = w;
-                for (size_t i = 0; i < nops; ++i) {
-                    const StripOp &op = run.ops[i];
-                    fetchTick();
-                    cur_pc_ = op.pc;
-                    issueSlot(op.op, op.pc, active_mask,
-                              takeRaw(op.raw_stall));
-                    last_dst = op.arch_dst;
-                    last_pc = op.pc;
-                }
-                execStripOps(run.ops.data(), run.ops.data() + nops, rf,
-                             run.const_rows.data());
-                if (nops < run.ops.size())
-                    return exitHere(); // budget ended mid-run
-                break;
-              }
-
-              case TraceEntryKind::Probe:
-              case TraceEntryKind::ProbeTerminal: {
-                if (budget - consumed < 2)
-                    return exitHere();
-                const InlineProbe &pr = tr.probes[e.idx];
-                const bool terminal =
-                    e.kind == TraceEntryKind::ProbeTerminal;
-
-                // 1) The patched JMP's issue slot (always-executing).
-                fetchTick();
-                exec_mask = active_mask;
-                cur_pc_ = e.pc;
-                cur_warp_ = w;
-                issueSlot(isa::Opcode::JMP, e.pc, active_mask,
-                          takeRaw(e.raw_stall));
-                chargeCycles(1, obs::StallReason::BranchResolve, e.pc,
-                             w);
-
-                // 2) Inlined tool body: ballot/popc/atomic-add, the
-                // exact arithmetic of the trampoline's tool function.
-                uint32_t pm = active_mask;
-                if (pr.ballot_guard) {
-                    pm = 0;
-                    for (unsigned l = 0; l < kWarpSize; ++l) {
-                        if (((active_mask >> l) & 1) &&
-                            readPred(rf, l, pr.orig.pred,
-                                     pr.orig.pred_neg))
-                            pm |= 1u << l;
-                    }
-                }
-                const uint64_t P =
-                    static_cast<uint64_t>(std::popcount(pm));
-                // Tool counters are global atomics: commit in grid
-                // order through the same gate ATOM uses.
-                atomicFence();
-                try {
-                    if (pr.warp_counter) {
-                        mem_.write64(pr.warp_counter,
-                                     mem_.read64(pr.warp_counter) +
-                                         pr.scale);
-                    }
-                    if (P != 0) {
-                        if (pr.thread_counter) {
-                            mem_.write64(
-                                pr.thread_counter,
-                                mem_.read64(pr.thread_counter) +
-                                    P * pr.scale);
-                        }
-                        if (pr.table_ptr) {
-                            const uint64_t base =
-                                mem_.read64(pr.table_ptr);
-                            const uint64_t slot =
-                                base +
-                                static_cast<uint64_t>(pr.index) * 8;
-                            mem_.write64(slot, mem_.read64(slot) +
-                                                   P * pr.scale);
-                        }
-                    }
-                } catch (const mem::DeviceMemory::MemFault &) {
-                    throw DeviceException::memFault(
-                        TrapCode::OutOfBoundsGlobal,
-                        "inline probe counter access out of bounds",
-                        e.pc, pr.table_ptr, MemSpace::Global, true);
-                }
-
-                // 3) The displaced original, as a full issue slot at
-                // the callsite pc (the un-relocated decoded original,
-                // so PC-relative semantics match in-place execution).
-                const isa::Instruction &oin = pr.orig;
-                const uint32_t exec = guardMask(oin);
-                exec_mask = exec;
-                const uint64_t next_pc = e.pc + ib_;
-                if (terminal)
-                    sched.advance(w, active_mask, next_pc);
-                fetchTick();
-                issueSlot(oin.op, e.pc, exec, false); // JMP wrote no GPR
-                cur_pc_ = e.pc;
-                cur_warp_ = w;
-                interp.execute(oin, warp, rf, active_mask, exec, e.pc,
-                               next_pc);
-                if (oin.isControlFlow())
-                    chargeCycles(1, obs::StallReason::BranchResolve,
-                                 e.pc, w);
-                last_dst = oin.writesGpr() ? oin.rd : isa::kRegZ;
-                last_pc = e.pc;
-                if (terminal) {
-                    sched.setLastDst(w, last_dst);
-                    return consumed;
-                }
-                break;
-              }
-            }
+    // stepWarp fetched the head; later slots fetch from the same
+    // (page-bounded) trace: a hit per slot in predecode mode, a
+    // byte-decode miss otherwise.
+    bool head = true;
+    auto fetchTick = [&]() {
+        if (head) {
+            head = false;
+            return;
         }
-        // Side-exit: the superblock ended without a terminal (page
-        // boundary / size cap / untraceable successor).
-        return exitHere();
-    } catch (DeviceException &e) {
-        // Same first annotation layer as stepWarp: faulting warp,
-        // lanes, and the lowest faulting lane's return stack.
-        e.warp_id = w;
-        e.active_mask = exec_mask ? exec_mask : active_mask;
-        if (e.active_mask && e.ret_stack.empty()) {
-            const ThreadCtx &t = warp[std::countr_zero(e.active_mask)];
-            e.ret_stack.assign(t.ret_stack, t.ret_stack + t.ret_depth);
+        if (cfg_.use_predecode)
+            ++shard_.decode_cache_hits;
+        else
+            ++shard_.decode_cache_misses;
+    };
+
+    for (const TraceEntry &e : tr.entries) {
+        switch (e.kind) {
+          case TraceEntryKind::Op:
+          case TraceEntryKind::OpTerminal: {
+            if (consumed >= budget)
+                return exitHere();
+            const bool terminal = e.kind == TraceEntryKind::OpTerminal;
+            const uint32_t exec = guardMask(e.in);
+            exec_mask = exec;
+            const uint64_t next_pc = e.pc + ib_;
+            if (terminal)
+                sched.advance(w, active_mask, next_pc);
+            fetchTick();
+            issueSlot(e.in.op, e.pc, exec, takeRaw(e.raw_stall));
+            cur_pc_ = e.pc;
+            cur_warp_ = w;
+            interp.execute(e.in, warp, rf, active_mask, exec, e.pc,
+                           next_pc);
+            if (e.is_cf)
+                chargeCycles(1, obs::StallReason::BranchResolve, e.pc, w);
+            last_dst = e.in.writesGpr() ? e.in.rd : isa::kRegZ;
+            last_pc = e.pc;
+            if (terminal) {
+                sched.setLastDst(w, last_dst);
+                return consumed;
+            }
+            break;
+          }
+
+          case TraceEntryKind::Strip: {
+            const StripRun &run = tr.strips[e.idx];
+            if (consumed >= budget)
+                return exitHere();
+            const size_t nops =
+                std::min<size_t>(run.ops.size(), budget - consumed);
+            // Accounting pass first, in program order (charges,
+            // samples and watchdog checks interleave exactly as
+            // per-instruction execution would).  Register effects
+            // of ops "before" a watchdog throw are unobservable —
+            // the CTA is abandoned and strip ops touch no memory —
+            // so the lane work runs afterwards in one threaded
+            // dispatch pass.
+            exec_mask = active_mask;
+            cur_warp_ = w;
+            for (size_t i = 0; i < nops; ++i) {
+                const StripOp &op = run.ops[i];
+                fetchTick();
+                cur_pc_ = op.pc;
+                issueSlot(op.op, op.pc, active_mask, takeRaw(op.raw_stall));
+                last_dst = op.arch_dst;
+                last_pc = op.pc;
+            }
+            execStripOps(run.ops.data(), run.ops.data() + nops, rf,
+                         run.const_rows.data());
+            if (nops < run.ops.size())
+                return exitHere(); // budget ended mid-run
+            break;
+          }
+
+          case TraceEntryKind::Probe:
+          case TraceEntryKind::ProbeTerminal: {
+            if (budget - consumed < 2)
+                return exitHere();
+            const InlineProbe &pr = tr.probes[e.idx];
+            const bool terminal = e.kind == TraceEntryKind::ProbeTerminal;
+
+            // 1) The patched JMP's issue slot (always-executing).
+            fetchTick();
+            exec_mask = active_mask;
+            cur_pc_ = e.pc;
+            cur_warp_ = w;
+            issueSlot(isa::Opcode::JMP, e.pc, active_mask,
+                      takeRaw(e.raw_stall));
+            chargeCycles(1, obs::StallReason::BranchResolve, e.pc, w);
+
+            // 2) Inlined tool body: ballot/popc/atomic-add, the
+            // exact arithmetic of the trampoline's tool function.
+            uint32_t pm = active_mask;
+            if (pr.ballot_guard) {
+                pm = 0;
+                for (unsigned l = 0; l < kWarpSize; ++l) {
+                    if (((active_mask >> l) & 1) &&
+                        readPred(rf, l, pr.orig.pred, pr.orig.pred_neg))
+                        pm |= 1u << l;
+                }
+            }
+            const uint64_t P = static_cast<uint64_t>(std::popcount(pm));
+            // Tool counters are global atomics: commit in grid
+            // order through the same gate ATOM uses.
+            atomicFence();
+            try {
+                if (pr.warp_counter) {
+                    mem_.write64(pr.warp_counter,
+                                 mem_.read64(pr.warp_counter) + pr.scale);
+                }
+                if (P != 0) {
+                    if (pr.thread_counter) {
+                        mem_.write64(pr.thread_counter,
+                                     mem_.read64(pr.thread_counter) +
+                                         P * pr.scale);
+                    }
+                    if (pr.table_ptr) {
+                        const uint64_t base = mem_.read64(pr.table_ptr);
+                        const uint64_t slot =
+                            base + static_cast<uint64_t>(pr.index) * 8;
+                        mem_.write64(slot,
+                                     mem_.read64(slot) + P * pr.scale);
+                    }
+                }
+            } catch (const mem::DeviceMemory::MemFault &) {
+                throw DeviceException::memFault(
+                    TrapCode::OutOfBoundsGlobal,
+                    "inline probe counter access out of bounds", e.pc,
+                    pr.table_ptr, MemSpace::Global, true);
+            }
+
+            // 3) The displaced original, as a full issue slot at
+            // the callsite pc (the un-relocated decoded original,
+            // so PC-relative semantics match in-place execution).
+            const isa::Instruction &oin = pr.orig;
+            const uint32_t exec = guardMask(oin);
+            exec_mask = exec;
+            const uint64_t next_pc = e.pc + ib_;
+            if (terminal)
+                sched.advance(w, active_mask, next_pc);
+            fetchTick();
+            issueSlot(oin.op, e.pc, exec, false); // JMP wrote no GPR
+            cur_pc_ = e.pc;
+            cur_warp_ = w;
+            interp.execute(oin, warp, rf, active_mask, exec, e.pc,
+                           next_pc);
+            if (oin.isControlFlow())
+                chargeCycles(1, obs::StallReason::BranchResolve, e.pc, w);
+            last_dst = oin.writesGpr() ? oin.rd : isa::kRegZ;
+            last_pc = e.pc;
+            if (terminal) {
+                sched.setLastDst(w, last_dst);
+                return consumed;
+            }
+            break;
+          }
         }
-        throw;
     }
+    // Side-exit: the superblock ended without a terminal (page
+    // boundary / size cap / untraceable successor).
+    return exitHere();
 }
 
 } // namespace nvbit::sim

@@ -269,5 +269,65 @@ TEST_F(AccelTest, ImageWithParamSlotOutsideBank0IsRejected)
     EXPECT_EQ(loadWith(kind_at, 7, 1), CUDA_ERROR_INVALID_IMAGE);
 }
 
+TEST_F(AccelTest, LaunchRejectsImageSharedAndLocalSizesPastDeviceLimits)
+{
+    std::vector<uint8_t> image(simblas_image_sm5x,
+                               simblas_image_sm5x + simblas_image_sm5x_len);
+    if (device().family() == isa::ArchFamily::SM7x)
+        image.assign(simblas_image_sm7x,
+                     simblas_image_sm7x + simblas_image_sm7x_len);
+
+    // simblas_sgemm_nn's function record: name (u32 length, bytes),
+    // is_entry (u8), then u32 num_regs, frame_bytes, shared_bytes.
+    const std::string name = "simblas_sgemm_nn";
+    std::vector<uint8_t> rec = {static_cast<uint8_t>(name.size()), 0, 0, 0};
+    rec.insert(rec.end(), name.begin(), name.end());
+    auto at = std::search(image.begin(), image.end(), rec.begin(), rec.end());
+    ASSERT_NE(at, image.end()) << "function record not found";
+    const size_t frame_at = (at - image.begin()) + rec.size() + 1 + 4;
+    const size_t shared_at = frame_at + 4;
+
+    const uint64_t smem = device().config().smem_per_sm;
+    uint64_t zeros[6] = {};
+    void *params[] = {&zeros[0], &zeros[1], &zeros[2],
+                      &zeros[3], &zeros[4], &zeros[5]};
+    auto launchWith = [&](uint32_t frame, uint32_t shared,
+                          unsigned dyn_shared) {
+        std::vector<uint8_t> patched = image;
+        for (size_t i = 0; i < 4; ++i) {
+            patched[frame_at + i] = static_cast<uint8_t>(frame >> (8 * i));
+            patched[shared_at + i] = static_cast<uint8_t>(shared >> (8 * i));
+        }
+        ModuleData md;
+        EXPECT_TRUE(deserializeModule(patched.data(), patched.size(), md));
+        for (const FuncImage &f : md.functions)
+            if (f.name == name) {
+                EXPECT_EQ(f.frame_bytes, frame);
+                EXPECT_EQ(f.shared_bytes, shared);
+                EXPECT_EQ(f.params.size(), 6u);
+            }
+        CUmodule mod = nullptr;
+        CUfunction fn = nullptr;
+        checkCu(cuModuleLoadData(&mod, patched.data(), patched.size()),
+                "load");
+        checkCu(cuModuleGetFunction(&fn, mod, name.c_str()), "function");
+        CUresult r = cuLaunchKernel(fn, 1, 1, 1, 64, 1, 1, dyn_shared,
+                                    nullptr, params, nullptr);
+        checkCu(cuModuleUnload(mod), "unload");
+        return r;
+    };
+
+    // Per-thread local bytes (frame + the launch stack margin) past
+    // 512 KiB: 64 threads of ~4 GiB each could never be allocated.
+    EXPECT_EQ(launchWith(0xfffff000u, 0, 0), CUDA_ERROR_INVALID_VALUE);
+    // Static + dynamic shared bytes whose 32-bit sum wraps to 4 KiB.
+    EXPECT_EQ(launchWith(0, 0xfffff000u, 0x2000), CUDA_ERROR_INVALID_VALUE);
+    EXPECT_EQ(launchWith(0, static_cast<uint32_t>(smem), 1),
+              CUDA_ERROR_INVALID_VALUE);
+    // Exactly at both limits the launch runs (m = n = k = 0).
+    EXPECT_EQ(launchWith(512 * 1024 - 512, static_cast<uint32_t>(smem), 0),
+              CUDA_SUCCESS);
+}
+
 } // namespace
 } // namespace nvbit::accel

@@ -496,6 +496,30 @@ TEST_F(ObsTest, TraceOutputHasExpectedTracksAndSchema)
     std::remove(path.c_str());
 }
 
+TEST_F(ObsTest, TraceMetadataPrecedesEventsWhateverThePushOrder)
+{
+    // A track named after an event was already pushed (as the stream
+    // worker names its own track when it starts) is still listed with
+    // the other metadata, ahead of every event.
+    std::string path = "test_obs_trace_order.json";
+    obs::Tracer &tr = obs::Tracer::instance();
+    tr.enableToFile(path);
+    tr.complete(obs::kHostPid, 7, "work", "test", 0, 1);
+    tr.nameThread(obs::kHostPid, 7, "late track");
+    EXPECT_EQ(tr.disableAndFlush(), path);
+
+    TraceFile tf = TraceFile::load(path);
+    ASSERT_FALSE(tf.events.empty());
+    EXPECT_EQ(TraceFile::strField(tf.events.back(), "ph"), "X");
+    EXPECT_EQ(TraceFile::strField(tf.events.back(), "name"), "work");
+    size_t metadata = 0;
+    for (const auto &ev : tf.events)
+        if (TraceFile::strField(ev, "ph") == "M")
+            ++metadata;
+    EXPECT_EQ(metadata, tf.events.size() - 1);
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // 6. mem_trace: channel transport == managed-buffer transport
 // ---------------------------------------------------------------------

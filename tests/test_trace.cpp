@@ -3,12 +3,12 @@
  * Tests for the trace-compiled threaded-code execution engine.
  *
  * Five groups:
- *  1. TraceCache unit tests: superblock compilation, the negative
+ *  1. Traces in the code cache: superblock compilation, the negative
  *     ("not worthwhile") sentinel, and pointer stability.
  *  2. Invalidation protocol: code swaps (the simulator-level analogue
  *     of nvbit_insert_call re-instrumentation) and probe-registry
- *     changes retire compiled traces; the registry empties on module
- *     unload.
+ *     changes retire a page's decoded entries and traces together; the
+ *     registry empties on module unload.
  *  3. Traced-engine differentials on adversarial shapes: superblocks
  *     longer than the scheduler quantum (side-exit and resume) and
  *     warps that diverge at the trace terminal.
@@ -32,7 +32,7 @@
 #include "isa/abi.hpp"
 #include "sim/alu.hpp"
 #include "sim/gpu.hpp"
-#include "sim/trace_cache.hpp"
+#include "sim/predecode.hpp"
 #include "sim/trace_compiler.hpp"
 #include "tools/instr_count.hpp"
 
@@ -100,7 +100,7 @@ class TraceTestBase : public ::testing::Test
 };
 
 // ---------------------------------------------------------------------
-// 1. TraceCache compilation
+// 1. Trace compilation into code-cache pages
 // ---------------------------------------------------------------------
 
 class TraceCacheTest : public TraceTestBase
@@ -114,23 +114,28 @@ TEST_F(TraceCacheTest, CompilesSuperblockAndCachesNegativeResult)
     uint64_t entry = place(gpu, prog);
     const size_t ib = isa::instrBytes(gpu.family());
 
-    sim::TraceCache cache(gpu.memory(), gpu.family());
-    const sim::Trace *tr = cache.acquire(entry);
+    sim::CodeCache cache(gpu.memory(), gpu.family());
+    auto traceAt = [&](uint64_t pc) {
+        const sim::PredecodedImage *page = cache.acquire(pc);
+        EXPECT_NE(page, nullptr);
+        return cache.trace(*page, pc);
+    };
+    const sim::Trace *tr = traceAt(entry);
     ASSERT_NE(tr, nullptr);
     EXPECT_EQ(tr->entry_pc, entry);
     EXPECT_GE(tr->n_instrs, 16u);
     EXPECT_EQ(cache.tracesBuilt(), 1u);
     EXPECT_EQ(cache.residentTraces(), 1u);
 
-    // Second acquire is a cache hit on the same object.
-    EXPECT_EQ(cache.acquire(entry), tr);
+    // A second lookup is a cache hit on the same object.
+    EXPECT_EQ(traceAt(entry), tr);
     EXPECT_EQ(cache.tracesBuilt(), 1u);
 
     // A lone terminal cannot form a worthwhile trace; the negative
     // result is cached (no recompile attempt on re-touch).
     uint64_t exit_pc = entry + (prog.size() - 1) * ib;
-    EXPECT_EQ(cache.acquire(exit_pc), nullptr);
-    EXPECT_EQ(cache.acquire(exit_pc), nullptr);
+    EXPECT_EQ(traceAt(exit_pc), nullptr);
+    EXPECT_EQ(traceAt(exit_pc), nullptr);
     EXPECT_EQ(cache.tracesBuilt(), 1u);
 }
 
@@ -142,8 +147,8 @@ TEST_F(TraceCacheTest, TracedLaunchPopulatesDeviceCache)
 
     gpu.launch(oneWarp(entry));
     EXPECT_EQ(gpu.memory().read32(buf), 16u);
-    EXPECT_GE(gpu.traceCache().tracesBuilt(), 1u);
-    EXPECT_GE(gpu.traceCache().residentTraces(), 1u);
+    EXPECT_GE(gpu.codeCache().tracesBuilt(), 1u);
+    EXPECT_GE(gpu.codeCache().residentTraces(), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -158,21 +163,63 @@ TEST_F(TraceCacheTest, CodeSwapInvalidatesCompiledTraces)
 
     gpu.launch(oneWarp(entry));
     EXPECT_EQ(gpu.memory().read32(buf), 8u);
-    uint64_t gen0 = gpu.traceCache().generation();
-    uint64_t inv0 = gpu.traceCache().invalidations();
+    const sim::CodeCache &cc = gpu.codeCache();
+    uint64_t inv0 = cc.invalidations();
+    uint64_t built0 = cc.tracesBuilt();
+    EXPECT_GE(cc.residentTraces(), 1u);
 
     // Swap the first instruction (MOV R4, 0 -> MOV R4, 100): the exact
     // write path nvbit_insert_call's trampoline patching uses.  The
-    // write observer must retire the covering trace page.
+    // write observer must retire the covering page with its traces.
     uint8_t enc[16];
     isa::encode(gpu.family(), isa::makeMovImm(4, 100), enc);
     gpu.memory().write(entry, enc, isa::instrBytes(gpu.family()));
-    EXPECT_GT(gpu.traceCache().invalidations(), inv0);
-    EXPECT_GT(gpu.traceCache().generation(), gen0);
+    EXPECT_GT(cc.invalidations(), inv0);
+    EXPECT_EQ(cc.residentTraces(), 0u);
 
     // The relaunch recompiles and observes the new code.
     gpu.launch(oneWarp(entry));
     EXPECT_EQ(gpu.memory().read32(buf), 108u);
+    EXPECT_GT(cc.tracesBuilt(), built0);
+}
+
+TEST_F(TraceCacheTest, HostWriteRetiresEntriesAndTracesAsOneInvalidation)
+{
+    // The same patched program on a traced and an untraced device.
+    auto run = [&](bool traces, bool check_cache) {
+        sim::GpuDevice gpu(smallConfig(traces));
+        mem::DevPtr buf = gpu.memory().alloc(4);
+        uint64_t entry = place(gpu, accumulateProgram(buf, 8));
+        gpu.launch(oneWarp(entry));
+
+        const sim::CodeCache &cc = gpu.codeCache();
+        const uint64_t inv0 = cc.invalidations();
+        const size_t pages0 = cc.residentPages();
+        if (check_cache) {
+            EXPECT_GE(pages0, 1u);
+            EXPECT_GE(cc.residentTraces(), 1u);
+        }
+        uint8_t enc[16];
+        isa::encode(gpu.family(), isa::makeMovImm(4, 100), enc);
+        gpu.memory().write(entry, enc, isa::instrBytes(gpu.family()));
+        if (check_cache) {
+            // One page held both forms of the code: one retirement.
+            EXPECT_EQ(cc.invalidations(), inv0 + 1);
+            EXPECT_EQ(cc.residentPages(), pages0 - 1);
+            EXPECT_EQ(cc.residentTraces(), 0u);
+        }
+        sim::LaunchStats st = gpu.launch(oneWarp(entry));
+        return std::make_pair(gpu.memory().read32(buf), st);
+    };
+    auto [traced_sum, traced] = run(true, true);
+    auto [plain_sum, plain] = run(false, false);
+    EXPECT_EQ(traced_sum, 108u);
+    EXPECT_EQ(plain_sum, 108u);
+    EXPECT_EQ(traced.warp_instrs, plain.warp_instrs);
+    EXPECT_EQ(traced.thread_instrs, plain.thread_instrs);
+    EXPECT_EQ(traced.cycles, plain.cycles);
+    EXPECT_EQ(traced.decode_cache_hits, plain.decode_cache_hits);
+    EXPECT_EQ(traced.decode_cache_misses, plain.decode_cache_misses);
 }
 
 TEST_F(TraceCacheTest, ProbeRegistryChangesRetireCoveringTraces)
@@ -208,17 +255,18 @@ TEST_F(TraceCacheTest, ProbeRegistryChangesRetireCoveringTraces)
     gpu.launch(oneWarp(entry));
     EXPECT_EQ(gpu.memory().read32(buf), 8u);
 
-    // Registering an inline probe at the callsite bumps the generation
-    // and retires covering traces so they recompile inlined.
-    uint64_t gen0 = gpu.traceCache().generation();
+    // Registering an inline probe at the callsite retires the covering
+    // page so its traces recompile inlined.
+    const sim::CodeCache &cc = gpu.codeCache();
+    uint64_t inv0 = cc.invalidations();
     sim::InlineProbe p;
     p.jmp_pc = callsite;
     p.tramp_target = tramp_base;
     p.orig = isa::makeIAddImm(4, 4, 1);
     p.warp_counter = counter;
     gpu.registerInlineProbe(p);
-    EXPECT_GT(gpu.traceCache().generation(), gen0);
-    EXPECT_EQ(gpu.traceCache().probeCount(), 1u);
+    EXPECT_GT(cc.invalidations(), inv0);
+    EXPECT_EQ(cc.probeCount(), 1u);
 
     gpu.launch(oneWarp(entry));
     EXPECT_EQ(gpu.memory().read32(buf), 8u);
@@ -227,10 +275,10 @@ TEST_F(TraceCacheTest, ProbeRegistryChangesRetireCoveringTraces)
     EXPECT_EQ(gpu.memory().read32(counter), 1u);
 
     // Module unload / re-instrumentation clears the registry.
-    uint64_t gen1 = gpu.traceCache().generation();
+    uint64_t inv1 = cc.invalidations();
     gpu.clearInlineProbes(entry, prog.size() * ib);
-    EXPECT_EQ(gpu.traceCache().probeCount(), 0u);
-    EXPECT_GT(gpu.traceCache().generation(), gen1);
+    EXPECT_EQ(cc.probeCount(), 0u);
+    EXPECT_GT(cc.invalidations(), inv1);
 
     // Back through the trampoline; results unchanged, counter frozen.
     gpu.launch(oneWarp(entry));
@@ -544,10 +592,8 @@ class AluTableDiffTest : public TraceTestBase
         gpu.memory().read(buf + 4 * row, r.words.data(),
                           r.words.size() * 4);
 
-        sim::TraceCompiler tc(gpu.memory(), gpu.family());
-        auto tr = tc.compile(entry, [](uint64_t, const Instruction &) {
-            return static_cast<const sim::InlineProbe *>(nullptr);
-        });
+        sim::CodeCache cc(gpu.memory(), gpu.family());
+        const sim::Trace *tr = cc.trace(*cc.acquire(entry), entry);
         const uint64_t pc0 = entry + first * isa::instrBytes(gpu.family());
         if (tr)
             for (const sim::StripRun &run : tr->strips)
